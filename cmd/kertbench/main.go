@@ -52,7 +52,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment to run: all, fig3, fig4, fig5, fig6, fig7, fig8, motivation, ablation, degradation, parallel, incremental, drift, serve, wire, outage, fleet")
+		exp         = flag.String("exp", "all", "experiment to run: all, fig3, fig4, fig5, fig6, fig7, fig8, motivation, ablation, degradation, parallel, incremental, drift, trace, serve, wire, outage, fleet")
 		quick       = flag.Bool("quick", false, "reduced sweeps for a fast sanity pass")
 		seed        = flag.Uint64("seed", 0, "override the experiment seed (0 = per-figure default)")
 		tcp         = flag.Bool("tcp", false, "fig5: ship columns over TCP/gob instead of in-process")

@@ -14,13 +14,13 @@ import (
 )
 
 // edData generates eDiaMoND training/test data.
-func edData(t *testing.T, n int, seed uint64) (*simsvc.System, *dataset.Dataset) {
-	t.Helper()
+func edData(tb testing.TB, n int, seed uint64) (*simsvc.System, *dataset.Dataset) {
+	tb.Helper()
 	sys := simsvc.EDiaMoNDSystem()
 	rng := stats.NewRNG(seed)
 	d, err := sys.GenerateDataset(n, rng)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sys, d
 }

@@ -257,9 +257,12 @@ func (a *discKERTAcc) RemoveRow(row []float64) error {
 }
 
 // IncrementalKERT maintains a KERT-BN over a sliding window using
-// sufficient-statistic accumulators: Ingest is O(columns) per row and Build
-// refits every CPD from the accumulators in O(parameters), independent of
-// how many rows the window holds. A full BuildKERT over the same window
+// sufficient-statistic accumulators. Ingest updates the count and moment
+// tables in O(columns) per row; on discrete models with Monte-Carlo D-CPT
+// generation it also evicts the leaving row's values from the per-bin
+// pools, a linear search costing O(window/bins) per service. Build refits
+// every CPD from the accumulators in O(parameters), independent of how
+// many rows the window holds. A full BuildKERT over the same window
 // contents (with the same frozen codec for discrete models) produces the
 // same parameters to well within 1e-9 — bit-identical on the pure-append
 // path.
@@ -385,10 +388,10 @@ func (ik *IncrementalKERT) Build() (*Model, error) {
 		incInvalidations.Inc()
 	}
 	var m *Model
-	err = ik.stream.View(func(rows int) error {
+	err = ik.stream.View(func(win *dataset.Window) error {
 		var err error
 		if ik.cfg.Type == ContinuousModel {
-			m, err = ik.buildContinuous(sp)
+			m, err = ik.buildContinuous(sp, win)
 		} else {
 			m, err = ik.buildDiscrete(sp)
 		}
@@ -448,7 +451,7 @@ func (ik *IncrementalKERT) bindAccumulators() ([]dataset.Accumulator, error) {
 	return []dataset.Accumulator{acc}, nil
 }
 
-func (ik *IncrementalKERT) buildContinuous(sp *obs.Span) (*Model, error) {
+func (ik *IncrementalKERT) buildContinuous(sp *obs.Span, win *dataset.Window) (*Model, error) {
 	cfg := ik.cfg
 	st := sp.Child("build.kert.structure")
 	net, err := buildStructure(cfg, ik.n, false, 0)
@@ -471,11 +474,13 @@ func (ik *IncrementalKERT) buildContinuous(sp *obs.Span) (*Model, error) {
 		if cfg.Leak > 0 && leakHi <= leakLo {
 			// Min/max over the window cannot be reverse-updated, so the
 			// auto leak range is the one quantity still derived from a
-			// window scan; pin LeakLo/LeakHi to avoid it.
+			// window scan; pin LeakLo/LeakHi to avoid it. The scan reads
+			// the window under the lock View already holds.
 			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, r := range ik.stream.Snapshot().Rows {
-				lo = math.Min(lo, r[ik.dID])
-				hi = math.Max(hi, r[ik.dID])
+			for i := 0; i < win.Len(); i++ {
+				d := win.Row(i)[ik.dID]
+				lo = math.Min(lo, d)
+				hi = math.Max(hi, d)
 			}
 			span := hi - lo
 			if span <= 0 {
@@ -736,8 +741,8 @@ func (in *IncrementalNRT) Build() (*Model, error) {
 		incInvalidations.Inc()
 	}
 	var m *Model
-	err = in.stream.View(func(rows int) error {
-		if rows == 0 {
+	err = in.stream.View(func(win *dataset.Window) error {
+		if win.Len() == 0 {
 			return fmt.Errorf("core: empty training data")
 		}
 		var err error

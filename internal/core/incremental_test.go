@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"kertbn/internal/bn"
 	"kertbn/internal/learn"
 	"kertbn/internal/simsvc"
 	"kertbn/internal/stats"
@@ -314,5 +315,51 @@ func TestSchedulerIncremental(t *testing.T) {
 	}
 	if sched.Model() == nil {
 		t.Fatal("scheduler lost its model")
+	}
+}
+
+// A continuous model with a leak but no pinned leak range derives the range
+// from the window's D column while Build holds the stream lock; reading it
+// back through the stream's own locking Snapshot used to self-deadlock. The
+// incremental model must also match a full build's leak range.
+func TestIncrementalKERTContinuousAutoLeakRangeBuilds(t *testing.T) {
+	sys, train := edData(t, 120, 21)
+	cfg := DefaultKERTConfig(sys.Workflow)
+	cfg.Leak = 0.05
+	ik, err := NewIncrementalKERT(cfg, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range train.Rows {
+		if err := ik.Ingest(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		m   *Model
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := ik.Build()
+		done <- result{m, err}
+	}()
+	var inc *Model
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		inc = r.m
+	case <-time.After(10 * time.Second):
+		t.Fatal("IncrementalKERT.Build did not return: auto leak range deadlocks on the stream lock")
+	}
+	full, err := BuildKERT(cfg, ik.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := inc.Net.Node(inc.DNode).CPD.(*bn.DetFunc), full.Net.Node(full.DNode).CPD.(*bn.DetFunc)
+	if got.LeakLo != want.LeakLo || got.LeakHi != want.LeakHi {
+		t.Fatalf("leak range [%g, %g], want the full build's [%g, %g]", got.LeakLo, got.LeakHi, want.LeakLo, want.LeakHi)
 	}
 }

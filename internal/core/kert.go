@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -8,6 +9,7 @@ import (
 	"kertbn/internal/dataset"
 	"kertbn/internal/learn"
 	"kertbn/internal/obs"
+	"kertbn/internal/pool"
 	"kertbn/internal/stats"
 	"kertbn/internal/workflow"
 )
@@ -446,20 +448,49 @@ func newBinPools(n, bins int) [][][]float64 {
 // Monte-Carlo stream is seeded purely by its configuration index, two calls
 // over pools with identical contents and ordering produce bit-identical
 // tables.
+//
+// The rows are split into contiguous shards over all CPUs. A row's stream
+// and the entries it writes belong to that row alone, and the integer
+// DataOps sum does not depend on the order shards finish in, so the table
+// and its cost are the same at any worker count.
 func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n int, binVals [][][]float64) (*bn.Tabular, learn.Cost, error) {
 	parentCard := make([]int, n)
 	for i := range parentCard {
 		parentCard[i] = cfg.Bins
 	}
 	tab := bn.NewTabular(cfg.Bins, parentCard)
+	rows := tab.Rows()
+	// Several shards per CPU, so a worker the scheduler parks behind the
+	// ingest and query goroutines holds up only a short tail of rows.
+	shards := min(rows, 4*pool.Size(0))
+	ops := make([]int64, shards)
+	err := pool.ForEach(context.TODO(), "core.dcpt", shards, 0, func(sh int) error {
+		var err error
+		ops[sh], err = detCPTRows(cfg, codec, dDisc, binVals, tab, sh*rows/shards, (sh+1)*rows/shards)
+		return err
+	})
 	var cost learn.Cost
+	for _, o := range ops {
+		cost.DataOps += o
+	}
+	if err != nil {
+		return nil, cost, err
+	}
+	return tab, cost, nil
+}
+
+// detCPTRows fills D-CPT rows [lo, hi) of tab and returns the data
+// operations spent. The parent configuration advances with an odometer
+// (last parent fastest, matching the row-major row index).
+func detCPTRows(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, binVals [][][]float64, tab *bn.Tabular, lo, hi int) (int64, error) {
+	n := len(tab.ParentCard)
 	x := make([]float64, n)
 	row := make([]float64, cfg.Bins)
 	samples := cfg.DetCPTSamples
 	f := cfg.metricFunc()
-
-	for cfgIdx := 0; cfgIdx < tab.Rows(); cfgIdx++ {
-		assign := tab.ConfigAssignment(cfgIdx)
+	var ops int64
+	assign := tab.ConfigAssignment(lo)
+	for cfgIdx := lo; cfgIdx < hi; cfgIdx++ {
 		for k := range row {
 			row[k] = cfg.Leak / float64(cfg.Bins)
 		}
@@ -468,7 +499,7 @@ func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discre
 				x[i] = codec.Discretizers[i].Center(b)
 			}
 			row[dDisc.Bin(f(x))] += 1 - cfg.Leak
-			cost.DataOps += int64(n + cfg.Bins)
+			ops += int64(n + cfg.Bins)
 		} else {
 			rng := stats.NewRNG(0x9E3779B97F4A7C15 ^ uint64(cfgIdx))
 			w := (1 - cfg.Leak) / float64(samples)
@@ -483,11 +514,17 @@ func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discre
 				}
 				row[dDisc.Bin(f(x))] += w
 			}
-			cost.DataOps += int64(samples*n + cfg.Bins)
+			ops += int64(samples*n + cfg.Bins)
 		}
 		if err := tab.SetRow(cfgIdx, row); err != nil {
-			return nil, cost, err
+			return ops, err
+		}
+		for i := n - 1; i >= 0; i-- {
+			if assign[i]++; assign[i] < cfg.Bins {
+				break
+			}
+			assign[i] = 0
 		}
 	}
-	return tab, cost, nil
+	return ops, nil
 }

@@ -211,6 +211,10 @@ func (w *Window) Push(row []float64) (evicted []float64, err error) {
 // Len returns the number of buffered rows.
 func (w *Window) Len() int { return w.count }
 
+// Row returns the i-th oldest buffered row without copying it; the slice
+// is valid only until the next Push.
+func (w *Window) Row(i int) []float64 { return w.rows[(w.start+i)%w.Capacity] }
+
 // DropOldest removes up to n of the oldest buffered rows and returns them,
 // oldest first — the same order Push evicts in, so streaming accumulators
 // can reverse-update for each dropped row. Used by the drift-triggered
@@ -238,7 +242,7 @@ func (w *Window) Snapshot() *Dataset {
 	d := New(w.Columns)
 	d.Rows = make([][]float64, 0, w.count)
 	for i := 0; i < w.count; i++ {
-		d.Rows = append(d.Rows, append([]float64(nil), w.rows[(w.start+i)%w.Capacity]...))
+		d.Rows = append(d.Rows, append([]float64(nil), w.Row(i)...))
 	}
 	return d
 }

@@ -83,7 +83,7 @@ func (s *Stream) Bind(hash uint64, build func() ([]Accumulator, error)) (rebuilt
 		return false, err
 	}
 	for i := 0; i < s.win.Len(); i++ {
-		row := s.win.rows[(s.win.start+i)%s.win.Capacity]
+		row := s.win.Row(i)
 		for _, a := range accs {
 			if err := a.AddRow(row); err != nil {
 				return false, fmt.Errorf("dataset: replaying window row %d: %w", i, err)
@@ -127,11 +127,13 @@ func (s *Stream) Bound() (hash uint64, ok bool) {
 
 // View runs f under the stream lock, excluding concurrent Push/Bind, so a
 // rebuild can read consistent accumulator state (via references retained
-// from its build closure) while ingest continues on other goroutines.
-func (s *Stream) View(f func(n int) error) error {
+// from its build closure) while ingest continues on other goroutines. f
+// may read the buffered rows through w but must not modify the window or
+// call back into the stream, whose lock it already holds.
+func (s *Stream) View(f func(w *Window) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return f(s.win.Len())
+	return f(s.win)
 }
 
 // Len returns the number of buffered rows.

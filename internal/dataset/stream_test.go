@@ -88,8 +88,8 @@ func TestStreamConcurrentIngestAndView(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			s.View(func(n int) error {
-				if acc.rows != n {
+			s.View(func(w *Window) error {
+				if n := w.Len(); acc.rows != n {
 					t.Errorf("torn view: acc rows %d != window len %d", acc.rows, n)
 				}
 				return nil

@@ -89,17 +89,6 @@ func (f *Factor) varIndex(v int) int {
 // Contains reports whether v is in the factor's scope.
 func (f *Factor) Contains(v int) bool { return f.varIndex(v) >= 0 }
 
-// strides returns the row-major stride of each scope position.
-func (f *Factor) strides() []int {
-	s := make([]int, len(f.Vars))
-	acc := 1
-	for i := len(f.Vars) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= f.Card[i]
-	}
-	return s
-}
-
 // Index converts an assignment (parallel to Vars) to a flat table index.
 func (f *Factor) Index(assign []int) int {
 	if len(assign) != len(f.Vars) {
@@ -135,123 +124,157 @@ func (f *Factor) At(assign []int) float64 { return f.Values[f.Index(assign)] }
 func (f *Factor) Set(assign []int, v float64) { f.Values[f.Index(assign)] = v }
 
 // Product returns the factor product f*g over the union scope.
+//
+// The output table is filled in flat order while an odometer over the
+// output scope carries the matching flat offsets into f and g: stepping a
+// variable moves each input offset by that variable's stride in the input,
+// which is 0 when the input does not mention it. Every entry is a single
+// multiplication, so the result does not depend on the walk.
 func Product(f, g *Factor) *Factor {
-	// Union scope.
-	unionVars, unionCard := unionScope(f, g)
-	out := New(unionVars, unionCard)
-	fMap := scopeMap(out, f)
-	gMap := scopeMap(out, g)
-	assign := make([]int, len(out.Vars))
-	fStr := f.strides()
-	gStr := g.strides()
-	for idx := range out.Values {
-		decode(out, idx, assign)
-		fi, gi := 0, 0
-		for i, pos := range fMap {
-			fi += assign[pos] * fStr[i]
+	vars, card := unionScope(f, g)
+	out := newSorted(vars, card)
+	n := len(vars)
+	if n == 0 {
+		out.Values[0] = f.Values[0] * g.Values[0]
+		return out
+	}
+	scratch := make([]int, 3*n)
+	fStr, gStr, assign := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	f.stridesOver(vars, fStr)
+	g.stridesOver(vars, gStr)
+	last := n - 1
+	cl, fl, gl := card[last], fStr[last], gStr[last]
+	fi, gi := 0, 0
+	for idx := 0; idx < len(out.Values); {
+		// The fastest-moving variable is a strided run through both inputs.
+		for k := 0; k < cl; k++ {
+			out.Values[idx] = f.Values[fi] * g.Values[gi]
+			idx++
+			fi += fl
+			gi += gl
 		}
-		for i, pos := range gMap {
-			gi += assign[pos] * gStr[i]
+		fi -= cl * fl
+		gi -= cl * gl
+		for i := last - 1; i >= 0; i-- {
+			assign[i]++
+			fi += fStr[i]
+			gi += gStr[i]
+			if assign[i] < card[i] {
+				break
+			}
+			assign[i] = 0
+			fi -= card[i] * fStr[i]
+			gi -= card[i] * gStr[i]
 		}
-		out.Values[idx] = f.Values[fi] * g.Values[gi]
 	}
 	return out
 }
 
-// decode fills assign with the assignment for flat index idx (avoids the
-// per-call allocation of Assignment).
-func decode(f *Factor, idx int, assign []int) {
-	for i := len(f.Vars) - 1; i >= 0; i-- {
-		assign[i] = idx % f.Card[i]
-		idx /= f.Card[i]
+// stridesOver writes, for each variable of the sorted scope vars (a
+// superset of f's scope), its row-major stride in f — or 0 when f does not
+// mention it — into dst.
+func (f *Factor) stridesOver(vars []int, dst []int) {
+	acc := 1
+	j := len(f.Vars) - 1
+	for i := len(vars) - 1; i >= 0; i-- {
+		if j >= 0 && f.Vars[j] == vars[i] {
+			dst[i] = acc
+			acc *= f.Card[j]
+			j--
+		} else {
+			dst[i] = 0
+		}
+	}
+	if j >= 0 {
+		panic(fmt.Sprintf("factor: scope var %d missing in outer scope", f.Vars[j]))
 	}
 }
 
+// unionScope merges the sorted scopes of f and g.
 func unionScope(f, g *Factor) ([]int, []int) {
-	cards := map[int]int{}
-	for i, v := range f.Vars {
-		cards[v] = f.Card[i]
-	}
-	for i, v := range g.Vars {
-		if c, ok := cards[v]; ok && c != g.Card[i] {
-			panic(fmt.Sprintf("factor: cardinality clash for var %d: %d vs %d", v, c, g.Card[i]))
+	vars := make([]int, 0, len(f.Vars)+len(g.Vars))
+	card := make([]int, 0, len(f.Vars)+len(g.Vars))
+	i, j := 0, 0
+	for i < len(f.Vars) || j < len(g.Vars) {
+		switch {
+		case j == len(g.Vars) || (i < len(f.Vars) && f.Vars[i] < g.Vars[j]):
+			vars, card = append(vars, f.Vars[i]), append(card, f.Card[i])
+			i++
+		case i == len(f.Vars) || g.Vars[j] < f.Vars[i]:
+			vars, card = append(vars, g.Vars[j]), append(card, g.Card[j])
+			j++
+		default:
+			if f.Card[i] != g.Card[j] {
+				panic(fmt.Sprintf("factor: cardinality clash for var %d: %d vs %d", f.Vars[i], f.Card[i], g.Card[j]))
+			}
+			vars, card = append(vars, f.Vars[i]), append(card, f.Card[i])
+			i++
+			j++
 		}
-		cards[v] = g.Card[i]
-	}
-	vars := make([]int, 0, len(cards))
-	for v := range cards {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars)
-	card := make([]int, len(vars))
-	for i, v := range vars {
-		card[i] = cards[v]
 	}
 	return vars, card
 }
 
-// scopeMap maps each position of inner's scope to its position in outer's.
-func scopeMap(outer, inner *Factor) []int {
-	m := make([]int, len(inner.Vars))
-	for i, v := range inner.Vars {
-		p := outer.varIndex(v)
-		if p < 0 {
-			panic(fmt.Sprintf("factor: scope var %d missing in outer factor", v))
-		}
-		m[i] = p
+// newSorted creates a zeroed factor over an already sorted, duplicate-free
+// scope, taking ownership of vars and card.
+func newSorted(vars, card []int) *Factor {
+	size := 1
+	for _, c := range card {
+		size *= c
 	}
-	return m
+	return &Factor{Vars: vars, Card: card, Values: make([]float64, size)}
+}
+
+// dropVar creates the zeroed factor over f's scope without the variable at
+// position pos, and splits f's table around it: entry (o, k, i) of f, with
+// k the dropped variable's state, sits at flat index (o*card+k)*inner + i
+// and lands on flat index o*inner + i of the output.
+func (f *Factor) dropVar(pos int) (out *Factor, outer, card, inner int) {
+	vars := make([]int, 0, len(f.Vars)-1)
+	cards := make([]int, 0, len(f.Vars)-1)
+	outer, inner = 1, 1
+	for i, u := range f.Vars {
+		switch {
+		case i < pos:
+			outer *= f.Card[i]
+		case i > pos:
+			inner *= f.Card[i]
+		default:
+			continue
+		}
+		vars = append(vars, u)
+		cards = append(cards, f.Card[i])
+	}
+	return newSorted(vars, cards), outer, f.Card[pos], inner
 }
 
 // SumOut marginalizes variable v out of f, returning a factor over the
 // remaining scope. Summing the last variable out of a single-variable
 // factor yields a scalar factor.
+//
+// Each output entry accumulates its inputs in ascending state order of v —
+// the order a flat walk of f meets them — so results are reproducible bit
+// for bit.
 func (f *Factor) SumOut(v int) *Factor {
 	pos := f.varIndex(v)
 	if pos < 0 {
 		panic(fmt.Sprintf("factor: SumOut of variable %d not in scope", v))
 	}
-	newVars := make([]int, 0, len(f.Vars)-1)
-	newCard := make([]int, 0, len(f.Vars)-1)
-	for i, u := range f.Vars {
-		if i == pos {
-			continue
-		}
-		newVars = append(newVars, u)
-		newCard = append(newCard, f.Card[i])
-	}
-	var out *Factor
-	if len(newVars) == 0 {
-		out = Scalar(0)
-	} else {
-		out = New(newVars, newCard)
-	}
-	assign := make([]int, len(f.Vars))
-	outAssign := make([]int, len(newVars))
-	for idx, val := range f.Values {
-		if val == 0 {
-			continue
-		}
-		decode(f, idx, assign)
-		k := 0
-		for i := range assign {
-			if i == pos {
-				continue
+	out, outer, card, inner := f.dropVar(pos)
+	for o := 0; o < outer; o++ {
+		dst := out.Values[o*inner : (o+1)*inner]
+		for k := 0; k < card; k++ {
+			src := f.Values[(o*card+k)*inner:][:inner]
+			for i, x := range src {
+				dst[i] += x
 			}
-			outAssign[k] = assign[i]
-			k++
-		}
-		if len(newVars) == 0 {
-			out.Values[0] += val
-		} else {
-			out.Values[out.Index(outAssign)] += val
 		}
 	}
 	return out
 }
 
-// Reduce incorporates evidence v=value by zeroing all inconsistent entries
-// and dropping v from the scope.
+// Reduce incorporates evidence v=value by keeping only the consistent
+// entries and dropping v from the scope.
 func (f *Factor) Reduce(v, value int) *Factor {
 	pos := f.varIndex(v)
 	if pos < 0 {
@@ -260,40 +283,58 @@ func (f *Factor) Reduce(v, value int) *Factor {
 	if value < 0 || value >= f.Card[pos] {
 		panic(fmt.Sprintf("factor: Reduce value %d out of range for var %d", value, v))
 	}
-	newVars := make([]int, 0, len(f.Vars)-1)
-	newCard := make([]int, 0, len(f.Vars)-1)
-	for i, u := range f.Vars {
-		if i == pos {
-			continue
-		}
-		newVars = append(newVars, u)
-		newCard = append(newCard, f.Card[i])
+	out, outer, card, inner := f.dropVar(pos)
+	for o := 0; o < outer; o++ {
+		copy(out.Values[o*inner:(o+1)*inner], f.Values[(o*card+value)*inner:])
 	}
-	var out *Factor
-	if len(newVars) == 0 {
-		out = Scalar(0)
-	} else {
-		out = New(newVars, newCard)
+	return out
+}
+
+// FromTable returns the factor over vars whose entries, laid out row-major
+// over vars in the order given (not necessarily sorted), are values. The
+// table is scattered into the sorted layout by walking values in flat order
+// with an odometer over per-variable destination strides; when vars is
+// already sorted the layouts coincide and the table is copied.
+func FromTable(vars, card []int, values []float64) *Factor {
+	out := New(vars, card)
+	if len(values) != len(out.Values) {
+		panic(fmt.Sprintf("factor: table has %d entries, scope needs %d", len(values), len(out.Values)))
 	}
-	assign := make([]int, len(f.Vars))
-	outAssign := make([]int, len(newVars))
-	for idx, val := range f.Values {
-		decode(f, idx, assign)
-		if assign[pos] != value {
-			continue
+	n := len(vars)
+	scratch := make([]int, 2*n)
+	str, assign := scratch[:n], scratch[n:]
+	sorted := true
+	for p, v := range vars {
+		str[p] = 1
+		for i := len(out.Vars) - 1; out.Vars[i] != v; i-- {
+			str[p] *= out.Card[i]
 		}
-		k := 0
-		for i := range assign {
-			if i == pos {
-				continue
+		if p > 0 && vars[p-1] > v {
+			sorted = false
+		}
+	}
+	if sorted {
+		copy(out.Values, values)
+		return out
+	}
+	last := n - 1
+	cl, sl := card[last], str[last]
+	di := 0
+	for si := 0; si < len(values); {
+		for k := 0; k < cl; k++ {
+			out.Values[di] = values[si]
+			si++
+			di += sl
+		}
+		di -= cl * sl
+		for i := last - 1; i >= 0; i-- {
+			assign[i]++
+			di += str[i]
+			if assign[i] < card[i] {
+				break
 			}
-			outAssign[k] = assign[i]
-			k++
-		}
-		if len(newVars) == 0 {
-			out.Values[0] += val
-		} else {
-			out.Values[out.Index(outAssign)] = val
+			assign[i] = 0
+			di -= card[i] * str[i]
 		}
 	}
 	return out
