@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz differential alloc bench bench-parallel bench-incremental bench-drift bench-trace bench-serve bench-wire bench-outage bench-fleet serve-e2e journal-e2e fleet-e2e equivalence fmt
+.PHONY: all build vet test race fuzz differential alloc bench-layers bench bench-parallel bench-incremental bench-drift bench-trace bench-serve bench-wire bench-outage bench-fleet serve-e2e journal-e2e fleet-e2e equivalence fmt
 
 all: vet build test
 
@@ -36,9 +36,14 @@ fuzz:
 	$(GO) test ./internal/journal -fuzz=FuzzJournalDecode -fuzztime=20s
 
 # Allocation gates: the per-row hot paths (frame encode, health scoring,
-# stream ingest, compiled-plan LW sampling) must not allocate.
+# stream ingest, discrete KERT-BN ingest, compiled-plan LW sampling) must
+# not allocate.
 alloc:
-	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset -run 'ZeroAlloc|DoesNotAllocate' -count=1 -v
+	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset ./internal/core -run 'ZeroAlloc|DoesNotAllocate' -count=1 -v
+
+# Run every layer benchmark once, so none of them can rot.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/factor ./internal/dataset
 
 # Differential tests: LW and Gibbs posteriors against the exact oracles.
 differential:

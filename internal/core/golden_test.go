@@ -10,6 +10,7 @@ import (
 	"kertbn/internal/bn"
 	"kertbn/internal/infer"
 	"kertbn/internal/simsvc"
+	"kertbn/internal/stats"
 )
 
 // hashFloats fingerprints a float slice bit for bit.
@@ -86,6 +87,31 @@ func TestDiscreteKERTGolden(t *testing.T) {
 	}
 }
 
+// TestTimeoutCountDCPTGolden pins the D-CPT of a seeded discrete
+// timeout-count model (f = Σ X_i) to a hash recorded while TimeoutCount
+// still summed over a freshly sorted service list per call: the compiled
+// single-sum program must add in the same order.
+func TestTimeoutCountDCPTGolden(t *testing.T) {
+	cs := simsvc.EDiaMoNDCountSystem()
+	train, err := cs.GenerateDataset(600, stats.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultKERTConfig(cs.Workflow)
+	cfg.Metric = TimeoutCountMetric
+	cfg.Type = DiscreteModel
+	cfg.Bins = 6
+	cfg.Leak = 0.02
+	m, err := BuildKERT(cfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x3cf6552e7a436d96
+	if got := hashFloats(m.Net.Node(m.DNode).CPD.(*bn.Tabular).P); got != want {
+		t.Fatalf("timeout-count D-CPT hash = %#x, want %#x", got, want)
+	}
+}
+
 // TestDetCPTIdenticalAcrossWorkerCounts: each D-CPT row draws from its own
 // configuration-seeded stream and writes only its own row, so the table
 // and its cost are the same whatever GOMAXPROCS shards the rows over.
@@ -103,7 +129,7 @@ func TestDetCPTIdenticalAcrossWorkerCounts(t *testing.T) {
 	n := m.NumServices
 	build := func(procs int) (uint64, int64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		tab, cost, err := detCPT(cfg, m.Codec, m.Codec.Discretizers[train.NumCols()-1], n, train)
+		tab, cost, err := detCPT(cfg, m.Codec, m.Codec.Discretizers[train.NumCols()-1], n, train.NumRows(), func(r int) []float64 { return train.Rows[r] })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -193,64 +193,38 @@ func (a *contKERTAcc) RemoveRow(row []float64) error {
 	return nil
 }
 
-// discKERTAcc keeps the sufficient statistics of a discrete KERT-BN: joint
-// count tables per learned node over codec-encoded rows, plus the
-// per-service within-bin value pools the Monte-Carlo D-CPT resamples from.
-// Pool eviction removes the first matching occurrence: rows leave in FIFO
-// order, so the surviving pool contents and order equal a fresh scan of the
-// surviving rows — keeping the seeded D-CPT generation bit-identical to a
-// full rebuild.
-type discKERTAcc struct {
+// countTables folds codec-encoded rows into joint count tables, encoding
+// each row into one scratch buffer so ingest allocates nothing. It is the
+// whole sufficient statistic of a discrete KERT-BN (one table per learned
+// node), so discrete ingest costs O(columns) per row. The per-service
+// within-bin value pools the Monte-Carlo D-CPT resamples from are not kept
+// here: each Build derives them from the window it reads under the stream
+// lock (binPools), in window order — exactly the values, in exactly the
+// order, a fresh scan of the same rows gives BuildKERT, so the seeded D-CPT
+// stays bit-identical to a full rebuild.
+type countTables struct {
 	codec *dataset.Codec
 	tabs  []*learn.TabularStats
-	pools [][][]float64 // nil when DetCPTSamples <= 1 or D's CPD is learned
-	n     int
+	enc   []float64
 }
 
-func (a *discKERTAcc) AddRow(row []float64) error {
-	enc, err := a.codec.EncodeRow(row)
-	if err != nil {
-		return err
-	}
-	for _, ts := range a.tabs {
-		if err := ts.AddRow(enc); err != nil {
-			return err
-		}
-	}
-	if a.pools != nil {
-		for i := 0; i < a.n; i++ {
-			b := a.codec.Discretizers[i].Bin(row[i])
-			a.pools[i][b] = append(a.pools[i][b], row[i])
-		}
-	}
-	return nil
+func (c *countTables) AddRow(row []float64) error {
+	return c.fold(row, (*learn.TabularStats).AddRow)
 }
 
-func (a *discKERTAcc) RemoveRow(row []float64) error {
-	enc, err := a.codec.EncodeRow(row)
-	if err != nil {
+func (c *countTables) RemoveRow(row []float64) error {
+	return c.fold(row, (*learn.TabularStats).RemoveRow)
+}
+
+// fold encodes row and applies op (AddRow or RemoveRow) to every table.
+func (c *countTables) fold(row []float64, op func(*learn.TabularStats, []float64) error) error {
+	var err error
+	if c.enc, err = c.codec.EncodeRowInto(c.enc, row); err != nil {
 		return err
 	}
-	for _, ts := range a.tabs {
-		if err := ts.RemoveRow(enc); err != nil {
+	for _, ts := range c.tabs {
+		if err := op(ts, c.enc); err != nil {
 			return err
-		}
-	}
-	if a.pools != nil {
-		for i := 0; i < a.n; i++ {
-			b := a.codec.Discretizers[i].Bin(row[i])
-			pool := a.pools[i][b]
-			found := false
-			for j, v := range pool {
-				if v == row[i] {
-					a.pools[i][b] = append(pool[:j], pool[j+1:]...)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("core: evicted value %g missing from bin pool %d/%d", row[i], i, b)
-			}
 		}
 	}
 	return nil
@@ -258,14 +232,14 @@ func (a *discKERTAcc) RemoveRow(row []float64) error {
 
 // IncrementalKERT maintains a KERT-BN over a sliding window using
 // sufficient-statistic accumulators. Ingest updates the count and moment
-// tables in O(columns) per row; on discrete models with Monte-Carlo D-CPT
-// generation it also evicts the leaving row's values from the per-bin
-// pools, a linear search costing O(window/bins) per service. Build refits
-// every CPD from the accumulators in O(parameters), independent of how
-// many rows the window holds. A full BuildKERT over the same window
+// tables in O(columns) per row. Build refits every CPD from the
+// accumulators in O(parameters), independent of how many rows the window
+// holds; a discrete model with Monte-Carlo D-CPT generation additionally
+// derives its within-bin value pools from the window in O(window) per
+// refit, and drops them afterwards. A full BuildKERT over the same window
 // contents (with the same frozen codec for discrete models) produces the
-// same parameters to well within 1e-9 — bit-identical on the pure-append
-// path.
+// same parameters to well within 1e-9 — bit-identical for discrete models
+// and on the continuous pure-append path.
 //
 // Discrete models freeze their discretization codec at the first Build
 // (from the rows buffered so far) unless cfg.Codec is already set; the
@@ -284,7 +258,7 @@ type IncrementalKERT struct {
 	// Typed references into the accumulators bound to the stream,
 	// refreshed by the Bind closure on (re)binding.
 	cont *contKERTAcc
-	disc *discKERTAcc
+	disc *countTables
 }
 
 // NewIncrementalKERT creates an incremental builder over a sliding window
@@ -362,8 +336,12 @@ func (ik *IncrementalKERT) Config() KERTConfig { return ik.cfg }
 
 // Build refits the model from the accumulated sufficient statistics. The
 // first call (and any call after a structure change) binds fresh
-// accumulators and replays the buffered window into them; steady-state
-// calls never touch the raw rows.
+// accumulators and replays the buffered window into them. Steady-state
+// calls read the raw rows only where a statistic cannot be accumulated: a
+// discrete model with Monte-Carlo D-CPT generation (DetCPTSamples > 1)
+// derives its within-bin value pools from the window in O(window), and a
+// continuous model with an unpinned leak range scans D for its min/max —
+// both under the stream lock, which holds off ingest meanwhile.
 func (ik *IncrementalKERT) Build() (*Model, error) {
 	sp := obs.StartSpan("build.kert.incremental")
 	defer sp.End()
@@ -393,7 +371,7 @@ func (ik *IncrementalKERT) Build() (*Model, error) {
 		if ik.cfg.Type == ContinuousModel {
 			m, err = ik.buildContinuous(sp, win)
 		} else {
-			m, err = ik.buildDiscrete(sp)
+			m, err = ik.buildDiscrete(sp, win)
 		}
 		return err
 	})
@@ -428,7 +406,7 @@ func (ik *IncrementalKERT) bindAccumulators() ([]dataset.Accumulator, error) {
 		ik.cont = acc
 		return []dataset.Accumulator{acc}, nil
 	}
-	acc := &discKERTAcc{codec: ik.cfg.Codec, n: ik.n}
+	acc := &countTables{codec: ik.cfg.Codec}
 	for id := 0; id < net.N(); id++ {
 		if id == ik.dID && !ik.cfg.LearnDCPD {
 			continue
@@ -443,9 +421,6 @@ func (ik *IncrementalKERT) bindAccumulators() ([]dataset.Accumulator, error) {
 			return nil, err
 		}
 		acc.tabs = append(acc.tabs, ts)
-	}
-	if !ik.cfg.LearnDCPD && ik.cfg.DetCPTSamples > 1 {
-		acc.pools = newBinPools(ik.n, ik.cfg.Bins)
 	}
 	ik.disc = acc
 	return []dataset.Accumulator{acc}, nil
@@ -529,7 +504,7 @@ func (ik *IncrementalKERT) buildContinuous(sp *obs.Span, win *dataset.Window) (*
 	}, nil
 }
 
-func (ik *IncrementalKERT) buildDiscrete(sp *obs.Span) (*Model, error) {
+func (ik *IncrementalKERT) buildDiscrete(sp *obs.Span, win *dataset.Window) (*Model, error) {
 	cfg := ik.cfg
 	entries := 1.0
 	for i := 0; i < ik.n; i++ {
@@ -548,7 +523,7 @@ func (ik *IncrementalKERT) buildDiscrete(sp *obs.Span) (*Model, error) {
 	if !cfg.LearnDCPD {
 		dsp := sp.Child("build.kert.dcpt")
 		dDisc := cfg.Codec.Discretizers[ik.dID]
-		tab, genCost, err := detCPTFromPools(cfg, cfg.Codec, dDisc, ik.n, ik.disc.pools)
+		tab, genCost, err := detCPT(cfg, cfg.Codec, dDisc, ik.n, win.Len(), win.Row)
 		if err != nil {
 			dsp.End()
 			return nil, err
@@ -595,23 +570,13 @@ func (ik *IncrementalKERT) buildDiscrete(sp *obs.Span) (*Model, error) {
 // structure: regression moments for continuous networks, count tables over
 // encoded rows for discrete ones.
 type nrtAcc struct {
-	codec *dataset.Codec // discrete only
-	lg    []*learn.LGStats
-	tabs  []*learn.TabularStats
+	countTables // discrete only (nil codec for continuous networks)
+	lg          []*learn.LGStats
 }
 
 func (a *nrtAcc) AddRow(row []float64) error {
 	if a.codec != nil {
-		enc, err := a.codec.EncodeRow(row)
-		if err != nil {
-			return err
-		}
-		for _, ts := range a.tabs {
-			if err := ts.AddRow(enc); err != nil {
-				return err
-			}
-		}
-		return nil
+		return a.countTables.AddRow(row)
 	}
 	for _, g := range a.lg {
 		if err := g.AddRow(row); err != nil {
@@ -623,16 +588,7 @@ func (a *nrtAcc) AddRow(row []float64) error {
 
 func (a *nrtAcc) RemoveRow(row []float64) error {
 	if a.codec != nil {
-		enc, err := a.codec.EncodeRow(row)
-		if err != nil {
-			return err
-		}
-		for _, ts := range a.tabs {
-			if err := ts.RemoveRow(enc); err != nil {
-				return err
-			}
-		}
-		return nil
+		return a.countTables.RemoveRow(row)
 	}
 	for _, g := range a.lg {
 		if err := g.RemoveRow(row); err != nil {
@@ -761,7 +717,7 @@ func (in *IncrementalNRT) bindAccumulators() ([]dataset.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc := &nrtAcc{codec: in.codec}
+	acc := &nrtAcc{countTables: countTables{codec: in.codec}}
 	for id := 0; id < net.N(); id++ {
 		parents := net.Parents(id)
 		if in.cfg.Type == DiscreteModel {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -59,8 +60,10 @@ func TestIncrementalKERTContinuousEquivalence(t *testing.T) {
 }
 
 // Discrete models: with the codec frozen by the first incremental build,
-// count-based refits and the pooled Monte-Carlo D-CPT must reproduce a full
-// BuildKERT (given the same codec) exactly.
+// count-based refits and the Monte-Carlo D-CPT over pools derived from the
+// window must reproduce a full BuildKERT (given the same codec) exactly —
+// after every 25 rows across three window turnovers, and again after a
+// drift truncation shrinks the window and it refills.
 func TestIncrementalKERTDiscreteEquivalence(t *testing.T) {
 	sys := simsvc.EDiaMoNDSystem()
 	rng := stats.NewRNG(9)
@@ -73,27 +76,21 @@ func TestIncrementalKERTDiscreteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := sys.GenerateDataset(2*window+37, rng)
+	data, err := sys.GenerateDataset(4*window+37, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var built bool
-	for i, row := range data.Rows {
-		if err := ik.Ingest(row); err != nil {
-			t.Fatal(err)
-		}
-		if i != window-1 && i != len(data.Rows)-1 {
-			continue
-		}
+	builds := 0
+	check := func(label string) {
+		t.Helper()
 		inc, err := ik.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		built = true
+		builds++
 		// The reference build shares the frozen codec — the geometry the
 		// accumulators were counted under.
-		refCfg := ik.Config()
-		full, err := BuildKERT(refCfg, ik.Snapshot())
+		full, err := BuildKERT(ik.Config(), ik.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +99,57 @@ func TestIncrementalKERTDiscreteEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if diff != 0 {
-			t.Fatalf("row %d: discrete incremental vs full param diff %g, want bit-identical", i, diff)
+			t.Fatalf("%s: discrete incremental vs full param diff %g, want bit-identical", label, diff)
 		}
 	}
-	if !built {
-		t.Fatal("no builds exercised")
+	truncateAt := 3*window + window/2
+	for i, row := range data.Rows {
+		if err := ik.Ingest(row); err != nil {
+			t.Fatal(err)
+		}
+		if i == truncateAt {
+			if _, err := ik.TruncateWindow(window / 5); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("row %d, after truncation", i))
+		}
+		if (i+1)%25 == 0 || i == len(data.Rows)-1 {
+			check(fmt.Sprintf("row %d", i))
+		}
+	}
+	if builds < 3*window/25 {
+		t.Fatalf("only %d builds exercised", builds)
+	}
+}
+
+// TestIncrementalKERTIngestZeroAlloc is the discrete ingest allocation
+// gate: with a full window and bound count tables, each Ingest evicts one
+// row and adds one through the accumulators' scratch encoding, allocating
+// nothing.
+func TestIncrementalKERTIngestZeroAlloc(t *testing.T) {
+	const window = 64
+	sys, data := edData(t, 3*window, 5)
+	ik, err := NewIncrementalKERT(discreteEDConfig(sys), window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range data.Rows[:window] {
+		if err := ik.Ingest(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ik.Build(); err != nil { // freeze the codec, bind the tables
+		t.Fatal(err)
+	}
+	i := window
+	avg := testing.AllocsPerRun(2*window-1, func() {
+		if err := ik.Ingest(data.Rows[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state discrete Ingest allocates %v per row, want 0", avg)
 	}
 }
 

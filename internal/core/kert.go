@@ -118,6 +118,18 @@ func (cfg *KERTConfig) metricFunc() func([]float64) float64 {
 	}
 }
 
+// metricProgram compiles the same f as metricFunc into a flat program —
+// bit-identical to it, without the tree walk — for the D-CPT's
+// bins^n × samples evaluations.
+func (cfg *KERTConfig) metricProgram() *workflow.Program {
+	switch cfg.Metric {
+	case TimeoutCountMetric:
+		return cfg.Workflow.CompileTimeoutCount()
+	default:
+		return cfg.Workflow.Compile()
+	}
+}
+
 func (cfg *KERTConfig) fillDefaults() {
 	if cfg.Bins == 0 {
 		cfg.Bins = 5
@@ -361,7 +373,7 @@ func buildDiscreteKERT(cfg KERTConfig, train *dataset.Dataset, n int, sp *obs.Sp
 		// mistake.
 		dsp := sp.Child("build.kert.dcpt")
 		dDisc := codec.Discretizers[train.NumCols()-1]
-		tab, genCost, err := detCPT(cfg, codec, dDisc, n, train)
+		tab, genCost, err := detCPT(cfg, codec, dDisc, n, train.NumRows(), func(r int) []float64 { return train.Rows[r] })
 		if err != nil {
 			dsp.End()
 			return nil, err
@@ -406,70 +418,47 @@ func buildDiscreteKERT(cfg KERTConfig, train *dataset.Dataset, n int, sp *obs.Sp
 }
 
 // detCPT builds P(D | X) for the discrete model — the software-generated
-// CPD of Equation 4. With DetCPTSamples = 1 each joint parent-bin
-// configuration maps its bin centers through f and the resulting D bin gets
-// mass 1−l; with more samples the row Monte-Carlo integrates f over parent
-// values resampled from the empirical training values of each bin
+// CPD of Equation 4 — from the training rows row(0..numRows-1), oldest
+// first. With DetCPTSamples = 1 each joint parent-bin configuration maps
+// its bin centers through f and the resulting D bin gets mass 1−l; with
+// more samples the row Monte-Carlo integrates f over parent values
+// resampled from the empirical training values of each bin
 // (deterministically seeded per row), spreading the deterministic mass
 // across the D bins f actually reaches. The leak l spreads uniformly over
 // all bins.
-func detCPT(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n int, train *dataset.Dataset) (*bn.Tabular, learn.Cost, error) {
-	// Per-service empirical values grouped by bin, for within-bin
-	// resampling. Empty bins fall back to the bin center.
-	var binVals [][][]float64
-	var cost learn.Cost
-	if cfg.DetCPTSamples > 1 {
-		binVals = newBinPools(n, cfg.Bins)
-		for _, r := range train.Rows {
-			for i := 0; i < n; i++ {
-				b := codec.Discretizers[i].Bin(r[i])
-				binVals[i][b] = append(binVals[i][b], r[i])
-			}
-		}
-		cost.DataOps += int64(len(train.Rows) * n)
-	}
-	tab, genCost, err := detCPTFromPools(cfg, codec, dDisc, n, binVals)
-	cost.Add(genCost)
-	return tab, cost, err
-}
-
-// newBinPools allocates empty per-service, per-bin value pools.
-func newBinPools(n, bins int) [][][]float64 {
-	pools := make([][][]float64, n)
-	for i := range pools {
-		pools[i] = make([][]float64, bins)
-	}
-	return pools
-}
-
-// detCPTFromPools generates the D CPT given already-grouped within-bin
-// training values — the shared core of the full (scan-the-dataset) and
-// incremental (pools maintained row by row) paths. Because each CPT row's
-// Monte-Carlo stream is seeded purely by its configuration index, two calls
-// over pools with identical contents and ordering produce bit-identical
-// tables.
 //
-// The rows are split into contiguous shards over all CPUs. A row's stream
-// and the entries it writes belong to that row alone, and the integer
-// DataOps sum does not depend on the order shards finish in, so the table
-// and its cost are the same at any worker count.
-func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n int, binVals [][][]float64) (*bn.Tabular, learn.Cost, error) {
+// The full build passes its dataset and the incremental build its window,
+// so both resample from pools made the same way from the same rows in the
+// same order; because each CPT row's stream is seeded purely by its
+// configuration index, equal rows give bit-identical tables.
+//
+// The CPT rows are split into contiguous shards over all CPUs. A row's
+// stream and the entries it writes belong to that row alone, and the
+// integer DataOps sum does not depend on the order shards finish in, so the
+// table and its cost are the same at any worker count.
+func detCPT(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n, numRows int, row func(int) []float64) (*bn.Tabular, learn.Cost, error) {
+	var cost learn.Cost
+	var pools [][][]float64
+	if cfg.DetCPTSamples > 1 {
+		pools = binPools(codec, n, cfg.Bins, numRows, row)
+		cost.DataOps += int64(numRows * n)
+	}
 	parentCard := make([]int, n)
 	for i := range parentCard {
 		parentCard[i] = cfg.Bins
 	}
 	tab := bn.NewTabular(cfg.Bins, parentCard)
 	rows := tab.Rows()
+	f := cfg.metricProgram()
 	// Several shards per CPU, so a worker the scheduler parks behind the
 	// ingest and query goroutines holds up only a short tail of rows.
 	shards := min(rows, 4*pool.Size(0))
 	ops := make([]int64, shards)
 	err := pool.ForEach(context.TODO(), "core.dcpt", shards, 0, func(sh int) error {
 		var err error
-		ops[sh], err = detCPTRows(cfg, codec, dDisc, binVals, tab, sh*rows/shards, (sh+1)*rows/shards)
+		ops[sh], err = detCPTRows(cfg, codec, dDisc, f, pools, tab, sh*rows/shards, (sh+1)*rows/shards)
 		return err
 	})
-	var cost learn.Cost
 	for _, o := range ops {
 		cost.DataOps += o
 	}
@@ -479,40 +468,77 @@ func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discre
 	return tab, cost, nil
 }
 
+// binPools groups each service's values among rows row(0..numRows-1) by
+// bin, keeping row order: pools[i][b] lists service i's values in bin b,
+// oldest first. A counting sort per service bins each value once, sizes
+// the bins, then appends the values into their bins' sub-slices of one
+// flat buffer. Empty bins get empty pools, for which the D-CPT falls back
+// to the bin center.
+func binPools(codec *dataset.Codec, n, bins, numRows int, row func(int) []float64) [][][]float64 {
+	flat := make([]float64, n*numRows)
+	binOf := make([]int32, numRows)
+	counts := make([]int, bins)
+	pools := make([][][]float64, n)
+	for i := range pools {
+		d := codec.Discretizers[i]
+		clear(counts)
+		for r := range binOf {
+			b := d.Bin(row(r)[i])
+			binOf[r] = int32(b)
+			counts[b]++
+		}
+		pools[i] = make([][]float64, bins)
+		off := i * numRows
+		for b, c := range counts {
+			pools[i][b] = flat[off : off : off+c]
+			off += c
+		}
+		for r, b := range binOf {
+			pools[i][b] = append(pools[i][b], row(r)[i])
+		}
+	}
+	return pools
+}
+
 // detCPTRows fills D-CPT rows [lo, hi) of tab and returns the data
 // operations spent. The parent configuration advances with an odometer
-// (last parent fastest, matching the row-major row index).
-func detCPTRows(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, binVals [][][]float64, tab *bn.Tabular, lo, hi int) (int64, error) {
+// (last parent fastest, matching the row-major row index). Each row looks
+// up its n pools and bin centers once, outside the sample loop, and
+// evaluates f through the compiled program in one register file.
+func detCPTRows(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, f *workflow.Program, binVals [][][]float64, tab *bn.Tabular, lo, hi int) (int64, error) {
 	n := len(tab.ParentCard)
-	x := make([]float64, n)
+	x := make([]float64, f.Regs())
 	row := make([]float64, cfg.Bins)
+	pools := make([][]float64, n)
 	samples := cfg.DetCPTSamples
-	f := cfg.metricFunc()
 	var ops int64
 	assign := tab.ConfigAssignment(lo)
 	for cfgIdx := lo; cfgIdx < hi; cfgIdx++ {
 		for k := range row {
 			row[k] = cfg.Leak / float64(cfg.Bins)
 		}
+		// Services whose bin has no values sit at the bin center; the
+		// program writes only registers past the inputs, so x[i] keeps
+		// it for every sample.
+		for i, b := range assign {
+			x[i] = codec.Discretizers[i].Center(b)
+		}
 		if samples <= 1 {
-			for i, b := range assign {
-				x[i] = codec.Discretizers[i].Center(b)
-			}
-			row[dDisc.Bin(f(x))] += 1 - cfg.Leak
+			row[dDisc.Bin(f.Eval(x))] += 1 - cfg.Leak
 			ops += int64(n + cfg.Bins)
 		} else {
+			for i, b := range assign {
+				pools[i] = binVals[i][b]
+			}
 			rng := stats.NewRNG(0x9E3779B97F4A7C15 ^ uint64(cfgIdx))
 			w := (1 - cfg.Leak) / float64(samples)
 			for s := 0; s < samples; s++ {
-				for i, b := range assign {
-					vals := binVals[i][b]
-					if len(vals) == 0 {
-						x[i] = codec.Discretizers[i].Center(b)
-						continue
+				for i, vals := range pools {
+					if len(vals) != 0 {
+						x[i] = vals[rng.Intn(len(vals))]
 					}
-					x[i] = vals[rng.Intn(len(vals))]
 				}
-				row[dDisc.Bin(f(x))] += w
+				row[dDisc.Bin(f.Eval(x))] += w
 			}
 			ops += int64(samples*n + cfg.Bins)
 		}

@@ -381,9 +381,7 @@ func (s *Scheduler) truncateWindowLocked(keep int) (int, error) {
 		}
 		return 0, nil
 	}
-	before := s.window.Len()
-	s.window.DropOldest(before - keep)
-	return before - s.window.Len(), nil
+	return s.window.DropOldest(s.window.Len() - keep), nil
 }
 
 // exportGaugesLocked publishes the scheduler state gauges — window

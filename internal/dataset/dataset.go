@@ -147,16 +147,20 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 // Window is the sliding data window of the paper's Equation 1: the model
 // (re)construction at each interval uses the data of the current interval
 // plus the K−1 previous ones, i.e. at most Capacity = K·α_model points.
+//
+// The rows live in one flat row-major ring of Capacity×columns values,
+// grown on demand while the window fills, so a buffered row costs its
+// values alone — no per-row array or slice header.
 type Window struct {
 	Columns  []string
 	Capacity int
-	rows     [][]float64
-	start    int // ring-buffer start
+	data     []float64 // ring of rows, row-major; len grows to Capacity×cols
+	start    int       // ring-buffer start (row index)
 	count    int
-	// spare is the most recently evicted row's backing array, recycled as
-	// the copy target of the next Push so a full window ingests rows with
-	// zero steady-state allocations.
-	spare []float64
+	// evicted holds a copy of the row the latest Push evicted, so the
+	// ring slot can take the new row while the old values stay readable
+	// until the next Push.
+	evicted []float64
 }
 
 // NewWindow creates a sliding window holding at most capacity rows.
@@ -167,7 +171,7 @@ func NewWindow(columns []string, capacity int) (*Window, error) {
 	return &Window{
 		Columns:  append([]string(nil), columns...),
 		Capacity: capacity,
-		rows:     make([][]float64, capacity),
+		evicted:  make([]float64, len(columns)),
 	}, nil
 }
 
@@ -176,65 +180,67 @@ func NewWindow(columns []string, capacity int) (*Window, error) {
 // can reverse-update their sufficient statistics for rows leaving the
 // window.
 //
-// The evicted slice is valid only until the next Push: its backing array is
-// recycled as the copy target of a later row, which is what makes
-// steady-state ingest allocation-free. Callers that need the evicted row
-// beyond the current call must copy it.
+// The evicted slice is the window's own scratch copy and is valid only
+// until the next Push, which overwrites it; callers that need the evicted
+// row beyond the current call must copy it. Once the ring has reached its
+// capacity, Push allocates nothing.
 func (w *Window) Push(row []float64) (evicted []float64, err error) {
-	if len(row) != len(w.Columns) {
-		return nil, fmt.Errorf("dataset: row width %d != %d columns", len(row), len(w.Columns))
+	c := len(w.Columns)
+	if len(row) != c {
+		return nil, fmt.Errorf("dataset: row width %d != %d columns", len(row), c)
 	}
 	idx := (w.start + w.count) % w.Capacity
 	if w.count == w.Capacity {
-		evicted = w.rows[w.start]
+		evicted = w.evicted
+		copy(evicted, w.slot(w.start))
 		w.start = (w.start + 1) % w.Capacity
-		idx = (w.start + w.count - 1) % w.Capacity
+		w.count--
 	}
-	buf := w.spare
-	w.spare = nil
-	if cap(buf) >= len(row) {
-		buf = buf[:len(row)]
-	} else {
-		buf = make([]float64, len(row))
+	if idx*c == len(w.data) {
+		// Still filling: every slot below start+count has been written
+		// and the ring has not wrapped, so the new row goes at the end.
+		w.grow(c)
 	}
-	copy(buf, row)
-	w.rows[idx] = buf
-	if w.count < w.Capacity {
-		w.count++
-	}
-	// The evicted buffer becomes the next push's copy target — hence the
-	// valid-until-next-Push contract on the returned slice.
-	w.spare = evicted
+	copy(w.slot(idx), row)
+	w.count++
 	return evicted, nil
+}
+
+// grow extends the ring by one row, doubling its backing array (capped at
+// the full capacity) when it runs out of room.
+func (w *Window) grow(c int) {
+	if len(w.data)+c > cap(w.data) {
+		next := make([]float64, len(w.data), min(max(2*cap(w.data), 16*c), w.Capacity*c))
+		copy(next, w.data)
+		w.data = next
+	}
+	w.data = w.data[:len(w.data)+c]
+}
+
+// slot returns ring slot j as a full-capacity-limited view.
+func (w *Window) slot(j int) []float64 {
+	c := len(w.Columns)
+	return w.data[j*c : (j+1)*c : (j+1)*c]
 }
 
 // Len returns the number of buffered rows.
 func (w *Window) Len() int { return w.count }
 
-// Row returns the i-th oldest buffered row without copying it; the slice
-// is valid only until the next Push.
-func (w *Window) Row(i int) []float64 { return w.rows[(w.start+i)%w.Capacity] }
+// Row returns the i-th oldest buffered row as a view into the ring, without
+// copying it; the slice is valid only until the next Push.
+func (w *Window) Row(i int) []float64 { return w.slot((w.start + i) % w.Capacity) }
 
-// DropOldest removes up to n of the oldest buffered rows and returns them,
-// oldest first — the same order Push evicts in, so streaming accumulators
-// can reverse-update for each dropped row. Used by the drift-triggered
-// reconstruction path, where data from before a detected change no longer
-// describes the environment.
-func (w *Window) DropOldest(n int) [][]float64 {
-	if n > w.count {
-		n = w.count
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([][]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, w.rows[w.start])
-		w.rows[w.start] = nil
-		w.start = (w.start + 1) % w.Capacity
-		w.count--
-	}
-	return out
+// DropOldest removes up to n of the oldest buffered rows and reports how
+// many it removed. It copies and allocates nothing: a caller that must see
+// the dropped rows (to reverse-update streaming accumulators) reads them
+// through Row(0..n-1) first, oldest first — the order Push evicts in. Used
+// by the drift-triggered reconstruction path, where data from before a
+// detected change no longer describes the environment.
+func (w *Window) DropOldest(n int) int {
+	n = max(min(n, w.count), 0)
+	w.start = (w.start + n) % w.Capacity
+	w.count -= n
+	return n
 }
 
 // Snapshot copies the window contents, oldest first, into a Dataset.

@@ -104,18 +104,16 @@ func (s *Stream) Bind(hash uint64, build func() ([]Accumulator, error)) (rebuilt
 func (s *Stream) Truncate(keep int) (dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if keep < 0 {
-		keep = 0
-	}
-	rows := s.win.DropOldest(s.win.Len() - keep)
-	for _, row := range rows {
+	n := max(s.win.Len()-max(keep, 0), 0)
+	for i := 0; i < n; i++ {
+		row := s.win.Row(i)
 		for _, a := range s.accs {
 			if err := a.RemoveRow(row); err != nil {
-				return len(rows), fmt.Errorf("dataset: accumulator remove on truncate: %w", err)
+				return s.win.DropOldest(n), fmt.Errorf("dataset: accumulator remove on truncate: %w", err)
 			}
 		}
 	}
-	return len(rows), nil
+	return s.win.DropOldest(n), nil
 }
 
 // Bound reports whether accumulators are installed and under which hash.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Node is one construct in a workflow tree.
@@ -15,6 +16,8 @@ type Node struct {
 	children []*Node // composite constructs
 	probs    []float64
 	loopP    float64
+	// tcProg caches the compiled timeout-count program (see TimeoutCount).
+	tcProg atomic.Pointer[Program]
 }
 
 type kind int
@@ -214,13 +217,11 @@ func (n *Node) ResponseTimeFunc() func([]float64) float64 {
 
 // TimeoutCount evaluates the Section-3.3 variant of f for transaction
 // counts: the end-to-end timeout count is the sum of per-service
-// sub-transaction counts, D = Σ X_i.
+// sub-transaction counts, D = Σ X_i, added in ascending service order. It
+// runs the node's compiled program (compiled on first use), so a call
+// allocates nothing.
 func (n *Node) TimeoutCount(x []float64) float64 {
-	s := 0.0
-	for _, svc := range n.Services() {
-		s += x[svc]
-	}
-	return s
+	return n.timeoutCountProgram().Eval(x)
 }
 
 // Edge is a directed immediate-upstream relation between services.
