@@ -26,8 +26,8 @@ equivalence:
 	$(GO) test ./internal/decentral -run 'IncrementalLearner.*Equivalence' -count=1 -v
 	$(GO) test ./internal/learn -run 'Stats.*Equivalence' -count=1 -v
 
-# Fuzz the framed wire codec: Decode must never panic on truncated or
-# corrupted frames (gob, flagged, or fixed-layout binary), and no binfmt
+# Fuzz the framed wire codec: Decode must never panic on truncated,
+# corrupted or hostile frames (untraced 0x82 or traced 0x83), and no binfmt
 # payload may decode without surviving a re-encode round trip.
 fuzz:
 	$(GO) test ./internal/wire -fuzz=FuzzDecodeMessage -fuzztime=20s
@@ -45,7 +45,7 @@ alloc:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/factor ./internal/dataset
 
-# Differential tests: LW and Gibbs posteriors against the exact oracles.
+# Differential tests: LW posteriors and the junction tree against exact oracles.
 differential:
 	$(GO) test ./internal/infer -run Differential -count=1 -v
 

@@ -55,7 +55,7 @@ func main() {
 		exp         = flag.String("exp", "all", "experiment to run: all, fig3, fig4, fig5, fig6, fig7, fig8, motivation, ablation, degradation, parallel, incremental, drift, trace, serve, wire, outage, fleet")
 		quick       = flag.Bool("quick", false, "reduced sweeps for a fast sanity pass")
 		seed        = flag.Uint64("seed", 0, "override the experiment seed (0 = per-figure default)")
-		tcp         = flag.Bool("tcp", false, "fig5: ship columns over TCP/gob instead of in-process")
+		tcp         = flag.Bool("tcp", false, "fig5: ship columns over TCP instead of in-process")
 		workers     = flag.Int("workers", 1, "fig3/fig4/fig5: concurrent sweep jobs (averaged series are worker-count-independent; keep 1 when timing panels matter)")
 		metricsJSON = flag.String("metrics-json", "", "write the final metrics snapshot to this file")
 		fleetAddr   = flag.String("fleet-addr", "", "ship this run's metric registry (bench.* series included) as fleet telemetry snapshots to the management server at this address (kertmon -mgmt-addr); the final increment flushes at exit")

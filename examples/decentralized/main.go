@@ -54,7 +54,8 @@ func main() {
 	report(res)
 
 	// Round 2: the same learning with columns shipped through real TCP
-	// sockets (gob-encoded) — the distributed deployment stand-in.
+	// sockets (fixed-layout binary frames) — the distributed deployment
+	// stand-in.
 	fabric, err := kertbn.NewTCPFabric()
 	if err != nil {
 		log.Fatal(err)
@@ -64,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nTCP/gob shipping (relay %s):\n", fabric.Addr())
+	fmt.Printf("\nTCP shipping (relay %s):\n", fabric.Addr())
 	report(resTCP)
 
 	// Install the TCP-learned CPDs and validate the finished model.

@@ -1,7 +1,6 @@
 package decentral
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -18,11 +17,6 @@ var (
 	decCPDShipBytes = obs.C("decentral.cpd_ship_bytes")
 	decCPDSkips     = obs.C("decentral.cpd_ship_skips")
 )
-
-// ErrBinaryRequired is returned by transports that can only carry CPD
-// deltas in the fixed binary layout (there is no gob schema for them on old
-// peers) when the codec is forced to gob.
-var ErrBinaryRequired = errors.New("decentral: CPD shipping requires the binary codec")
 
 // CPDShipper is implemented by transports that can move a fitted CPD delta
 // from a learning agent to the management server and return the delta as
@@ -75,9 +69,9 @@ func deltaToCPD(d *binfmt.CPDDelta) (bn.CPD, error) {
 // shipFittedCPD routes a freshly fitted CPD through the shipper's CPD path
 // when it has one, installing the round-tripped parameters. Shipping is an
 // observability/deployment hop, not a correctness dependency: any failure
-// (transport without CPD support, gob-forced codec, wire error) keeps the
-// locally fitted CPD and counts a skip, so a round never loses a node's
-// model to a CPD-ship fault. Because the binary layout is bit-exact, a
+// (transport without CPD support, CPD family without a fixed layout, wire
+// error) keeps the locally fitted CPD and counts a skip, so a round never
+// loses a node's model to a CPD-ship fault. Because the binary layout is bit-exact, a
 // successful round trip is indistinguishable from the local fit.
 func shipFittedCPD(shipper Shipper, node int, cpd bn.CPD) bn.CPD {
 	cs, ok := shipper.(CPDShipper)

@@ -13,6 +13,6 @@
 // plan and columns, never on scheduling.
 //
 // Two column-shipping transports are provided: in-process (direct copy,
-// for simulations) and TCP/gob (the distributed stand-in; the paper's
+// for simulations) and TCP (the distributed stand-in; the paper's
 // future-work idea of piggybacking on SOAP messages, minus SOAP).
 package decentral

@@ -210,7 +210,7 @@ func TestRelayDedupSuppressesDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		var echo binfmt.Journaled
-		if _, _, err := wire.DecodeAnyCtx(conn, 0, nil, &echo); err != nil {
+		if _, err := wire.Decode(conn, 0, &echo); err != nil {
 			t.Fatalf("echo %d: %v", i, err)
 		}
 		if echo.Origin != 9 || echo.Seq != 1 {

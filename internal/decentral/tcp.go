@@ -16,12 +16,11 @@ import (
 	"kertbn/internal/wire/binfmt"
 )
 
-// Frame-codec metrics on the relay: how many frames arrived in each
-// encoding, plus the store-and-forward ledger (journaled frames shipped and
-// at-least-once duplicates the relay suppressed).
+// Relay metrics: frames validated and echoed, plus the store-and-forward
+// ledger (journaled frames shipped and at-least-once duplicates the relay
+// suppressed).
 var (
 	decFramesBinary = obs.C("decentral.tcp.binary_frames")
-	decFramesGob    = obs.C("decentral.tcp.gob_frames")
 	decJournaledTx  = obs.C("decentral.tcp.journaled_frames")
 	decDups         = obs.C("decentral.tcp.dup_suppressed")
 	// Telemetry pass-through: snapshots the relay handed to its sink,
@@ -46,13 +45,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// parcel is one shipped column on the wire.
-type parcel struct {
-	From, To int
-	Col      []float64
-}
-
-// relayMsg is the relay's binary-frame decoder: it validates the payload as
+// relayMsg is the relay's frame decoder: it validates the payload as
 // one of the binary message kinds the fabric relays (row segments and CPD
 // deltas, bare or inside a journaled envelope) and keeps the raw bytes so
 // the echo needs no re-encode.
@@ -74,7 +67,7 @@ type relayMsg struct {
 func (m *relayMsg) UnmarshalWire(payload []byte) error {
 	t, ok := binfmt.MsgType(payload)
 	if !ok {
-		return fmt.Errorf("%w: unknown binary payload on relay", binfmt.ErrMalformed)
+		return fmt.Errorf("%w: unknown payload on relay", binfmt.ErrMalformed)
 	}
 	m.journaled, m.isTel = false, false
 	body := payload
@@ -101,7 +94,7 @@ func (m *relayMsg) UnmarshalWire(payload []byte) error {
 		}
 		m.isTel = true
 	default:
-		return fmt.Errorf("%w: binary type 0x%02x not relayed", binfmt.ErrMalformed, t)
+		return fmt.Errorf("%w: message type 0x%02x not relayed", binfmt.ErrMalformed, t)
 	}
 	m.raw = payload
 	return nil
@@ -123,20 +116,12 @@ type FabricOptions struct {
 	// Injector, when non-nil, injects deterministic faults into every
 	// shipping connection, keyed by (from, to, attempt) — the chaos hook.
 	Injector *faulty.Injector
-	// Codec selects the parcel encoding. CodecAuto (the default) ships
-	// fixed-layout binary row segments on a shipment's first two attempts
-	// and falls back to gob parcels from attempt 2 on, covering a peer that
-	// rejects the binary layout. The choice is a pure function of
-	// (Codec, attempt) and the fabric dials per attempt, so no negotiation
-	// state exists to go stale across re-dials or generation swaps.
-	Codec wire.Codec
 	// Journal enables durable shipping of row segments (full columns and
 	// delta-sync segments alike): each outgoing segment is appended before
 	// its first attempt and released only by the relay's validated echo,
 	// which doubles as the ack. Segments whose shipment fails replay ahead
 	// of later shipments, so a relay outage costs latency, not segments.
-	// Durable shipping is binary-only (gob-forced fabrics reject it). The
-	// caller keeps ownership of the journal.
+	// The caller keeps ownership of the journal.
 	Journal *journal.Journal
 	// Origin identifies this fabric's journal in envelopes (default 1).
 	Origin uint64
@@ -173,7 +158,7 @@ func (o FabricOptions) withDefaults() FabricOptions {
 }
 
 // TCPFabric is a Shipper that routes every column through a real TCP
-// socket with framed gob encoding, so decentralized-learning measurements
+// socket as a framed row segment, so decentralized-learning measurements
 // include genuine serialization and network-stack cost. A single relay
 // listener accepts a connection per shipment, reads the parcel and echoes
 // it back — the in-one-process equivalent of agent-to-agent transfer.
@@ -275,17 +260,16 @@ func (f *TCPFabric) acceptLoop() {
 			}
 			defer f.untrack(c)
 			defer c.Close()
-			// relayMsg is reused across frames so a binary stream decodes
-			// with steady-state allocation only for the raw echo copy.
+			// relayMsg is reused across frames so a stream decodes with
+			// steady-state allocation only for the raw echo copy.
 			var bin relayMsg
 			for {
-				var p parcel
 				if err := c.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout)); err != nil {
 					// A conn that rejects deadlines can pin this goroutine
 					// forever; treat it as dead.
 					return
 				}
-				isBinary, fctx, err := wire.DecodeAnyCtx(c, 0, &p, &bin)
+				fctx, err := wire.Decode(c, 0, &bin)
 				if err != nil {
 					if errors.Is(err, wire.ErrChecksum) || errors.Is(err, binfmt.ErrMalformed) {
 						// The frame was fully consumed; the stream is still
@@ -308,35 +292,26 @@ func (f *TCPFabric) acceptLoop() {
 				if err := c.SetWriteDeadline(time.Now().Add(f.opts.IdleTimeout)); err != nil {
 					return
 				}
-				// Echo in kind: a binary frame is answered with its validated
-				// payload re-framed as binary (no re-encode); a gob parcel is
-				// re-encoded as gob, preserving interop with old shippers.
-				if isBinary {
-					decFramesBinary.Inc()
-					fresh := true
-					if bin.journaled && !f.opts.Dedup.Fresh(bin.origin, bin.seq) {
-						// At-least-once replay of a record already relayed.
-						// The echo is idempotent, so still answer it — the
-						// shipper clearly never saw the previous echo.
-						decDups.Inc()
-						fresh = false
+				// Echo the validated payload re-framed, without a re-encode.
+				decFramesBinary.Inc()
+				fresh := true
+				if bin.journaled && !f.opts.Dedup.Fresh(bin.origin, bin.seq) {
+					// At-least-once replay of a record already relayed. The
+					// echo is idempotent, so still answer it — the shipper
+					// clearly never saw the previous echo.
+					decDups.Inc()
+					fresh = false
+				}
+				if bin.isTel && fresh {
+					decTelRelayed.Inc()
+					if f.opts.TelemetrySink != nil {
+						f.opts.TelemetrySink(&bin.tel)
+					} else {
+						decTelIgnored.Inc()
 					}
-					if bin.isTel && fresh {
-						decTelRelayed.Inc()
-						if f.opts.TelemetrySink != nil {
-							f.opts.TelemetrySink(&bin.tel)
-						} else {
-							decTelIgnored.Inc()
-						}
-					}
-					if _, err := wire.WriteBinaryPayload(c, bin.raw, wire.TraceContext{}); err != nil {
-						return
-					}
-				} else {
-					decFramesGob.Inc()
-					if _, err := wire.Encode(c, &p); err != nil {
-						return
-					}
+				}
+				if _, err := wire.WriteBinaryPayload(c, bin.raw, wire.TraceContext{}); err != nil {
+					return
 				}
 			}
 		}(conn)
@@ -357,17 +332,14 @@ func (f *TCPFabric) Ship(from, to int, col []float64) ([]float64, error) {
 	return f.ShipAttempt(from, to, 0, col)
 }
 
-// useBinary decides the codec for one attempt — a pure function, so codec
-// choice can never carry stale per-peer state across re-dials.
-func (f *TCPFabric) useBinary(attempt int) bool {
-	switch f.opts.Codec {
-	case wire.CodecBinary:
-		return true
-	case wire.CodecGob:
-		return false
-	default: // CodecAuto: binary first, gob from attempt 2 on
-		return attempt < 2
+// dial opens one shipping connection to the relay, routed through the
+// injector when configured; key and attempt pick the fault plan so chaos
+// runs replay.
+func (f *TCPFabric) dial(key uint64, attempt int) (net.Conn, error) {
+	if in := f.opts.Injector; in != nil {
+		return in.Dial("tcp", f.Addr(), key, uint64(attempt), f.opts.DialTimeout)
 	}
+	return net.DialTimeout("tcp", f.Addr(), f.opts.DialTimeout)
 }
 
 // Durable reports whether this fabric journals outgoing segments — an
@@ -382,9 +354,6 @@ func (f *TCPFabric) Durable() bool { return f.opts.Journal != nil }
 // with any earlier stranded segments) until the relay's echo acks it.
 func (f *TCPFabric) ShipAttempt(from, to, attempt int, col []float64) ([]float64, error) {
 	if f.opts.Journal != nil {
-		if f.opts.Codec == wire.CodecGob {
-			return nil, ErrBinaryRequired
-		}
 		return f.shipAttemptDurable(from, to, attempt, col)
 	}
 	start := time.Now()
@@ -401,13 +370,7 @@ func (f *TCPFabric) ShipAttempt(from, to, attempt int, col []float64) ([]float64
 		fctx = wire.TraceContext{TraceID: sctx.TraceID, SpanID: sctx.SpanID,
 			SendUnixNS: start.UnixNano(), Attempt: uint8(min(attempt, 255))}
 	}
-	var conn net.Conn
-	var err error
-	if f.opts.Injector != nil {
-		conn, err = f.opts.Injector.Dial("tcp", f.Addr(), edgeKey(from, to), uint64(attempt), f.opts.DialTimeout)
-	} else {
-		conn, err = net.DialTimeout("tcp", f.Addr(), f.opts.DialTimeout)
-	}
+	conn, err := f.dial(edgeKey(from, to), attempt)
 	if err != nil {
 		return nil, fmt.Errorf("decentral: dial relay: %w", err)
 	}
@@ -418,29 +381,15 @@ func (f *TCPFabric) ShipAttempt(from, to, attempt int, col []float64) ([]float64
 		// as dead as one that fails the write, so fail the attempt.
 		return nil, fmt.Errorf("decentral: set write deadline: %w", err)
 	}
-	if f.useBinary(attempt) {
-		seg := binfmt.RowSegment{From: from, To: to, Col: col}
-		if _, err := wire.EncodeBinaryCtx(cw, &seg, fctx); err != nil {
-			return nil, fmt.Errorf("decentral: send parcel: %w", err)
-		}
-	} else {
-		if _, err := wire.EncodeCtx(cw, &parcel{From: from, To: to, Col: col}, fctx); err != nil {
-			return nil, fmt.Errorf("decentral: send parcel: %w", err)
-		}
+	if _, err := wire.Encode(cw, &binfmt.RowSegment{From: from, To: to, Col: col}, fctx); err != nil {
+		return nil, fmt.Errorf("decentral: send segment: %w", err)
 	}
-	// The relay echoes in kind, but accept either encoding so a mixed-era
-	// pairing (old relay, new shipper or vice versa) still round-trips.
-	var back parcel
-	var backSeg binfmt.RowSegment
+	var back binfmt.RowSegment
 	if err := conn.SetReadDeadline(time.Now().Add(f.opts.IOTimeout)); err != nil {
 		return nil, fmt.Errorf("decentral: set read deadline: %w", err)
 	}
-	isBinary, _, err := wire.DecodeAnyCtx(conn, 0, &back, &backSeg)
-	if err != nil {
-		return nil, fmt.Errorf("decentral: receive parcel: %w", err)
-	}
-	if isBinary {
-		back = parcel{From: backSeg.From, To: backSeg.To, Col: backSeg.Col}
+	if _, err := wire.Decode(conn, 0, &back); err != nil {
+		return nil, fmt.Errorf("decentral: receive segment: %w", err)
 	}
 	if back.From != from || back.To != to {
 		return nil, fmt.Errorf("decentral: relay returned parcel %d->%d, want %d->%d", back.From, back.To, from, to)
@@ -455,12 +404,8 @@ func (f *TCPFabric) ShipAttempt(from, to, attempt int, col []float64) ([]float64
 // is written, validated on the far side, handed to the relay's
 // TelemetrySink, and its echo read back as the ack. It implements the
 // telemetry Sender contract, letting a fabric node forward fleet snapshots
-// over the same socket plane it ships columns on. Binary-only — a
-// gob-forced fabric rejects it.
+// over the same socket plane it ships columns on.
 func (f *TCPFabric) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
-	if f.opts.Codec == wire.CodecGob {
-		return ErrBinaryRequired
-	}
 	conn, err := net.DialTimeout("tcp", f.Addr(), f.opts.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("decentral: dial relay: %w", err)
@@ -469,14 +414,14 @@ func (f *TCPFabric) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(f.opts.IOTimeout)); err != nil {
 		return fmt.Errorf("decentral: set write deadline: %w", err)
 	}
-	if _, err := wire.EncodeBinaryCtx(conn, snap, wire.TraceContext{}); err != nil {
+	if _, err := wire.Encode(conn, snap, wire.TraceContext{}); err != nil {
 		return fmt.Errorf("decentral: send telemetry: %w", err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(f.opts.IOTimeout)); err != nil {
 		return fmt.Errorf("decentral: set read deadline: %w", err)
 	}
 	var echo binfmt.TelemetrySnapshot
-	if _, _, err := wire.DecodeAnyCtx(conn, 0, nil, &echo); err != nil {
+	if _, err := wire.Decode(conn, 0, &echo); err != nil {
 		return fmt.Errorf("decentral: telemetry echo: %w", err)
 	}
 	if echo.Source != snap.Source || echo.Epoch != snap.Epoch || echo.Seq != snap.Seq {
@@ -518,13 +463,7 @@ func (f *TCPFabric) shipAttemptDurable(from, to, attempt int, col []float64) ([]
 		f.pendEdge[key] = mySeq
 	}
 	start := time.Now()
-	var conn net.Conn
-	var err error
-	if f.opts.Injector != nil {
-		conn, err = f.opts.Injector.Dial("tcp", f.Addr(), key, uint64(attempt), f.opts.DialTimeout)
-	} else {
-		conn, err = net.DialTimeout("tcp", f.Addr(), f.opts.DialTimeout)
-	}
+	conn, err := f.dial(key, attempt)
 	if err != nil {
 		return nil, fmt.Errorf("decentral: dial relay: %w", err)
 	}
@@ -533,7 +472,7 @@ func (f *TCPFabric) shipAttemptDurable(from, to, attempt int, col []float64) ([]
 	var out []float64
 	err = j.Replay(func(seq uint64, payload []byte, attempts int) error {
 		env := binfmt.Journaled{Origin: f.opts.Origin, Seq: seq, Inner: payload}
-		buf, err := env.AppendWire(f.jenvBuf[:0])
+		buf, err := wire.AppendBinaryFrame(f.jenvBuf[:0], &env, wire.TraceContext{})
 		f.jenvBuf = buf
 		if err != nil {
 			return err
@@ -541,7 +480,7 @@ func (f *TCPFabric) shipAttemptDurable(from, to, attempt int, col []float64) ([]
 		if err := conn.SetWriteDeadline(time.Now().Add(f.opts.IOTimeout)); err != nil {
 			return fmt.Errorf("set write deadline: %w", err)
 		}
-		if _, err := wire.WriteBinaryPayload(cw, buf, wire.TraceContext{}); err != nil {
+		if _, err := cw.Write(buf); err != nil {
 			return err
 		}
 		decJournaledTx.Inc()
@@ -549,11 +488,10 @@ func (f *TCPFabric) shipAttemptDurable(from, to, attempt int, col []float64) ([]
 			return fmt.Errorf("set read deadline: %w", err)
 		}
 		var echo binfmt.Journaled
-		isBinary, _, err := wire.DecodeAnyCtx(conn, 0, nil, &echo)
-		if err != nil {
+		if _, err := wire.Decode(conn, 0, &echo); err != nil {
 			return err
 		}
-		if !isBinary || echo.Origin != f.opts.Origin || echo.Seq != seq {
+		if echo.Origin != f.opts.Origin || echo.Seq != seq {
 			return fmt.Errorf("relay echoed wrong journal record (origin %d seq %d, want %d/%d)", echo.Origin, echo.Seq, f.opts.Origin, seq)
 		}
 		// The validated echo is the ack: the relay held this record.
@@ -584,14 +522,9 @@ func (f *TCPFabric) shipAttemptDurable(from, to, attempt int, col []float64) ([]
 }
 
 // ShipCPD implements CPDShipper over the relay socket: the fitted delta
-// rides a binary frame to the relay and its echo is decoded back, so the
-// measured path includes true serialization and network cost. CPD deltas
-// have no gob form on the wire, so a gob-forced fabric reports
-// ErrBinaryRequired and the caller keeps the locally fitted CPD.
+// rides a frame to the relay and its echo is decoded back, so the measured
+// path includes true serialization and network cost.
 func (f *TCPFabric) ShipCPD(from, attempt int, delta *binfmt.CPDDelta) (*binfmt.CPDDelta, error) {
-	if f.opts.Codec == wire.CodecGob {
-		return nil, ErrBinaryRequired
-	}
 	start := time.Now()
 	var fctx wire.TraceContext
 	if tc := f.traceCtx(); tc.Sampled() {
@@ -606,13 +539,7 @@ func (f *TCPFabric) ShipCPD(from, attempt int, delta *binfmt.CPDDelta) (*binfmt.
 	// The management server plays the "to" side; key fault plans on the
 	// from->server edge (server id -1) so CPD ships draw independent
 	// schedules from column ships.
-	var conn net.Conn
-	var err error
-	if f.opts.Injector != nil {
-		conn, err = f.opts.Injector.Dial("tcp", f.Addr(), edgeKey(from, -1), uint64(attempt), f.opts.DialTimeout)
-	} else {
-		conn, err = net.DialTimeout("tcp", f.Addr(), f.opts.DialTimeout)
-	}
+	conn, err := f.dial(edgeKey(from, -1), attempt)
 	if err != nil {
 		return nil, fmt.Errorf("decentral: dial relay: %w", err)
 	}
@@ -621,18 +548,17 @@ func (f *TCPFabric) ShipCPD(from, attempt int, delta *binfmt.CPDDelta) (*binfmt.
 	if err := conn.SetWriteDeadline(time.Now().Add(f.opts.IOTimeout)); err != nil {
 		return nil, fmt.Errorf("decentral: set write deadline: %w", err)
 	}
-	if _, err := wire.EncodeBinaryCtx(cw, delta, fctx); err != nil {
+	if _, err := wire.Encode(cw, delta, fctx); err != nil {
 		return nil, fmt.Errorf("decentral: send CPD delta: %w", err)
 	}
 	var back binfmt.CPDDelta
 	if err := conn.SetReadDeadline(time.Now().Add(f.opts.IOTimeout)); err != nil {
 		return nil, fmt.Errorf("decentral: set read deadline: %w", err)
 	}
-	isBinary, _, err := wire.DecodeAnyCtx(conn, 0, nil, &back)
-	if err != nil {
+	if _, err := wire.Decode(conn, 0, &back); err != nil {
 		return nil, fmt.Errorf("decentral: receive CPD delta: %w", err)
 	}
-	if !isBinary || back.Node != delta.Node {
+	if back.Node != delta.Node {
 		return nil, fmt.Errorf("decentral: relay returned wrong CPD echo for node %d", delta.Node)
 	}
 	decCPDShipBytes.Add(cw.n)

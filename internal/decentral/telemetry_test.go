@@ -3,13 +3,11 @@ package decentral
 import (
 	"testing"
 
-	"kertbn/internal/wire"
 	"kertbn/internal/wire/binfmt"
 )
 
 // TestFabricTelemetryPassThrough: a telemetry snapshot shipped through the
-// relay lands in the TelemetrySink exactly once and the echo acks it; a
-// gob-forced fabric refuses the binary-only path.
+// relay lands in the TelemetrySink exactly once and the echo acks it.
 func TestFabricTelemetryPassThrough(t *testing.T) {
 	got := make(chan binfmt.TelemetrySnapshot, 1)
 	f, err := NewTCPFabricOpts(FabricOptions{
@@ -41,12 +39,4 @@ func TestFabricTelemetryPassThrough(t *testing.T) {
 		t.Fatal("sink never received the snapshot")
 	}
 
-	gobbed, err := NewTCPFabricOpts(FabricOptions{Codec: wire.CodecGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gobbed.Close()
-	if err := gobbed.SendTelemetry(snap); err == nil {
-		t.Fatal("gob-forced fabric accepted binary-only telemetry")
-	}
 }

@@ -22,7 +22,7 @@ type Fig5Config struct {
 	ModelsPerSize int
 	// TrainSize is the window the parameters are learned from.
 	TrainSize int
-	// UseTCP routes column shipping through the TCP/gob fabric instead of
+	// UseTCP routes column shipping through the TCP fabric instead of
 	// in-process copies.
 	UseTCP bool
 	// Workers bounds how many (size, model) jobs run concurrently (<= 1

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"runtime"
 	"time"
 
@@ -68,10 +72,9 @@ func DefaultWireBenchConfig() WireBenchConfig {
 	}
 }
 
-// parcel mirrors decentral's gob shipping message field for field AND by
-// type name: gob streams carry the concrete type and field names, so this
-// local copy frames to exactly the bytes the production gob path puts on
-// the wire.
+// parcel is the gob comparator's column shipment, the struct the
+// decentral transport once shipped by gob. Gob streams carry the concrete
+// type and field names, so its name and fields fix the comparator's bytes.
 type parcel struct {
 	From, To int
 	Col      []float64
@@ -91,11 +94,30 @@ func gridReport(rng *stats.RNG, ncols, count int) (*monitor.Report, *binfmt.Meas
 	return rep, bin
 }
 
+// writeGobFrame is the offline gob comparator: v gob-encoded as an
+// independent stream (so frames decode in isolation, as a gob wire would
+// need) behind a 10-byte header, magic(2) | length(4) | crc32(4). It
+// writes nothing on an encode error.
+func writeGobFrame(w io.Writer, v any) error {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return err
+	}
+	hdr := binary.BigEndian.AppendUint16(make([]byte, 0, 10), wire.Magic)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(payload.Len()))
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload.Bytes()))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(payload.Bytes())
+	return err
+}
+
 // gobFrameLen and binFrameLen measure full framed wire size: header, CRC
 // and payload — the bytes a peer actually receives.
-func gobFrameLen(v interface{}) (int, error) {
+func gobFrameLen(v any) (int, error) {
 	var buf bytes.Buffer
-	if _, err := wire.Encode(&buf, v); err != nil {
+	if err := writeGobFrame(&buf, v); err != nil {
 		return 0, err
 	}
 	return buf.Len(), nil
@@ -103,7 +125,7 @@ func gobFrameLen(v interface{}) (int, error) {
 
 func binFrameLen(m wire.Marshaler) (int, error) {
 	var buf bytes.Buffer
-	if _, err := wire.EncodeBinary(&buf, m); err != nil {
+	if _, err := wire.Encode(&buf, m, wire.TraceContext{}); err != nil {
 		return 0, err
 	}
 	return buf.Len(), nil
@@ -177,7 +199,7 @@ func (a *sumAccum) RemoveRow(row []float64) error {
 	return nil
 }
 
-// WireBench measures the fixed-layout wire codec against the gob fallback
+// WireBench measures the fixed-layout wire codec against a gob comparator
 // and the per-row cost of the allocation-free hot paths, producing the
 // BENCH_wire.json schema:
 //
@@ -311,8 +333,7 @@ func WireBench(cfg WireBenchConfig) (*FigResult, error) {
 	gobEncNs, err := minOver(cfg.Reps, func() (float64, error) {
 		return nsPer(cfg.EncodeFrames, func() error {
 			gobBuf.Reset()
-			_, err := wire.Encode(&gobBuf, encRep)
-			return err
+			return writeGobFrame(&gobBuf, encRep)
 		})
 	})
 	if err != nil {

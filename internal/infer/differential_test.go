@@ -1,10 +1,9 @@
 package infer
 
-// Differential tests: the approximate samplers (likelihood weighting,
-// Gibbs) are checked against exact oracles — the closed-form joint
-// Gaussian for continuous networks, the junction tree (itself verified
-// against variable elimination) for discrete ones — on seeded random
-// networks with tolerance bands. Run just these with:
+// Differential tests: the approximate sampler (likelihood weighting) is
+// checked against the closed-form joint Gaussian, and the exact junction
+// tree against brute-force joint enumeration, on seeded random networks
+// with tolerance bands. Run just these with:
 //
 //	go test ./internal/infer -run Differential
 
@@ -53,7 +52,7 @@ func randomGaussianNet(t *testing.T, nNodes int, pEdge float64, rng *stats.RNG) 
 }
 
 // randomDiscreteNet builds a random discrete DAG with CPT entries bounded
-// away from zero, so the Gibbs chain mixes fast enough for tight bands.
+// away from zero.
 func randomDiscreteNet(t *testing.T, nNodes int, pEdge float64, rng *stats.RNG) *bn.Network {
 	t.Helper()
 	n := bn.NewNetwork()
@@ -179,42 +178,9 @@ func TestDifferentialLWPriorMatchesExactGaussian(t *testing.T) {
 	}
 }
 
-// TestDifferentialGibbsVsJunctionTree: on random discrete networks, the
-// Gibbs marginal of the first node under leaf evidence must match the
-// junction-tree exact marginal within a tolerance band.
-func TestDifferentialGibbsVsJunctionTree(t *testing.T) {
-	opts := GibbsOptions{Burnin: 1500, Samples: 50_000, Thin: 2}
-	for trial := uint64(0); trial < 5; trial++ {
-		rng := stats.NewRNG(300 + trial)
-		nNodes := 4 + rng.Intn(2)
-		net := randomDiscreteNet(t, nNodes, 0.5, rng)
-		jt, err := CompileJunctionTree(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evNode, query := nNodes-1, 0
-		ev := DiscreteEvidence{evNode: rng.Intn(net.Node(evNode).Card)}
-		marg, err := jt.AllMarginals(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := marg[query]
-		approx, err := Gibbs(net, query, ev, opts, rng.Split(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range exact.Values {
-			if d := math.Abs(approx.Values[s] - exact.Values[s]); d > 0.03 {
-				t.Fatalf("trial %d state %d: Gibbs %.4f vs junction tree %.4f (|d|=%.4g)",
-					trial, s, approx.Values[s], exact.Values[s], d)
-			}
-		}
-	}
-}
-
-// TestDifferentialJunctionTreeVsBruteForce closes the oracle loop: the
-// junction tree itself is cross-checked against joint enumeration on the
-// same random networks the Gibbs test uses.
+// TestDifferentialJunctionTreeVsBruteForce: the discrete exact oracle, the
+// junction tree, is cross-checked against joint enumeration on
+// random discrete networks.
 func TestDifferentialJunctionTreeVsBruteForce(t *testing.T) {
 	for trial := uint64(0); trial < 5; trial++ {
 		rng := stats.NewRNG(300 + trial)

@@ -1,12 +1,16 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"kertbn/internal/faulty"
-	"kertbn/internal/wire"
 )
 
 // sendFullRows ships one report per request id carrying every column, so
@@ -36,9 +40,9 @@ func distinctRows(rc *rowCollector) int {
 	return len(seen)
 }
 
-// TestTCPBinaryEndToEnd: a CodecAuto sender on a clean link ships every
-// report in the fixed binary layout and the server assembles the same rows
-// a gob sender would produce.
+// TestTCPBinaryEndToEnd: a sender on a clean link ships every report as
+// one fixed-layout frame and the server assembles the rows with their
+// values intact.
 func TestTCPBinaryEndToEnd(t *testing.T) {
 	const cols, rows = 3, 20
 	rc := &rowCollector{}
@@ -59,13 +63,9 @@ func TestTCPBinaryEndToEnd(t *testing.T) {
 	}
 	defer sender.Close()
 	sendFullRows(t, sender, cols, rows)
-	nBin, nGob := sender.SentFrames()
-	if nBin != rows || nGob != 0 {
-		t.Fatalf("clean CodecAuto sender sent %d binary / %d gob frames, want %d / 0", nBin, nGob, rows)
-	}
-	waitFor(t, "all binary rows", func() bool { return distinctRows(rc) == rows })
-	if got := monTCPBinaryRx.Value() - binRx; got < int64(rows) {
-		t.Fatalf("server counted %d binary frames, want >= %d", got, rows)
+	waitFor(t, "all rows", func() bool { return distinctRows(rc) == rows })
+	if got := monTCPBinaryRx.Value() - binRx; got != int64(rows) {
+		t.Fatalf("server counted %d frames, want %d", got, rows)
 	}
 	// The values survived the layout round trip exactly.
 	row := rc.get(0)
@@ -77,41 +77,10 @@ func TestTCPBinaryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTCPGobForcedInterop: a CodecGob sender speaks the old wire protocol
-// end to end — the fallback every pre-binary reader depends on.
-func TestTCPGobForcedInterop(t *testing.T) {
-	const cols, rows = 2, 10
-	rc := &rowCollector{}
-	inner, err := NewServer(cols, rc.sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ListenTCP("127.0.0.1:0", inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sender, err := DialTCPOpts(srv.Addr(), SenderOptions{Retries: 2, Codec: wire.CodecGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	sendFullRows(t, sender, cols, rows)
-	nBin, nGob := sender.SentFrames()
-	if nBin != 0 || nGob != rows {
-		t.Fatalf("CodecGob sender sent %d binary / %d gob frames, want 0 / %d", nBin, nGob, rows)
-	}
-	waitFor(t, "all gob rows", func() bool { return distinctRows(rc) == rows })
-}
-
-// TestCodecResetsAcrossRedial is the negotiation regression test: injected
-// truncation faults kill the connection mid-stream, the sender downgrades
-// the interrupted send to gob (CodecAuto semantics) and re-dials — and
-// because the binary preference is re-derived per send, later sends return
-// to the binary layout instead of staying downgraded forever. A stale
-// "peer is gob-only" belief surviving the re-dial would show up here as
-// nGob growing with every send after the first fault.
+// TestCodecResetsAcrossRedial is the redial regression test: injected
+// truncation faults kill the connection mid-stream, the sender re-dials
+// and retries, and every row is still delivered. The frame encoding keeps
+// no per-connection state, so a fresh connection starts clean.
 func TestCodecResetsAcrossRedial(t *testing.T) {
 	const cols, rows = 3, 200
 	rc := &rowCollector{}
@@ -126,13 +95,13 @@ func TestCodecResetsAcrossRedial(t *testing.T) {
 	defer srv.Close()
 
 	// Every connection is truncated somewhere in its first 4 KiB, so a
-	// steady stream of ~70-byte binary frames loses its connection every
-	// few dozen sends, mid-stream and deterministically.
+	// steady stream of ~70-byte frames loses its connection every few
+	// dozen sends, mid-stream and deterministically.
 	inj, err := faulty.NewInjector(faulty.Config{Seed: 42, Truncate: 1, MaxFaultOffset: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	redials := monTCPRedials.Value()
+	redials, retries := monTCPRedials.Value(), monTCPRetries.Value()
 	sender, err := DialTCPOpts(srv.Addr(), SenderOptions{
 		Retries:  6,
 		Backoff:  faulty.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
@@ -146,18 +115,104 @@ func TestCodecResetsAcrossRedial(t *testing.T) {
 	defer sender.Close()
 	sendFullRows(t, sender, cols, rows)
 
-	nBin, nGob := sender.SentFrames()
-	if nBin+nGob != rows {
-		t.Fatalf("sent %d binary + %d gob = %d frames, want %d", nBin, nGob, nBin+nGob, rows)
-	}
-	if nGob == 0 {
-		t.Fatal("no send ever downgraded to gob — the fault injection never hit a binary write mid-stream")
-	}
-	if nBin <= nGob {
-		t.Fatalf("binary did not resume after re-dials: %d binary vs %d gob frames", nBin, nGob)
-	}
 	if got := monTCPRedials.Value() - redials; got == 0 {
 		t.Fatal("connection never re-dialed — the test exercised nothing")
 	}
+	if got := monTCPRetries.Value() - retries; got == 0 {
+		t.Fatal("no send was retried — the truncations never hit a write")
+	}
 	waitFor(t, fmt.Sprintf("%d distinct rows", rows), func() bool { return distinctRows(rc) == rows })
+}
+
+// byteCounter is a bare TCP listener that counts every byte any
+// connection sends it.
+type byteCounter struct {
+	l net.Listener
+	n chan int64
+}
+
+func newByteCounter(t *testing.T) *byteCounter {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := &byteCounter{l: l, n: make(chan int64, 1)}
+	go func() {
+		var total int64
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				bc.n <- total
+				return
+			}
+			n, _ := io.Copy(io.Discard, c)
+			total += n
+			c.Close()
+		}
+	}()
+	return bc
+}
+
+// received closes the listener and returns the bytes counted. Call it after
+// the sender is closed, so its connection has hit EOF.
+func (bc *byteCounter) received() int64 {
+	bc.l.Close()
+	return <-bc.n
+}
+
+// unrepresentable lists reports the fixed layout cannot carry.
+func unrepresentable() []Report {
+	return []Report{
+		{AgentID: strings.Repeat("a", 256), Batch: []Measurement{{RequestID: 1, Column: 0, Value: 1}}},
+		{AgentID: "agent", Batch: []Measurement{{RequestID: 1, Column: math.MaxInt32 + 1, Value: 1}}},
+		{AgentID: "agent", Batch: []Measurement{{RequestID: 1, Column: 0}, {RequestID: 1, Column: math.MinInt32 - 1}}},
+	}
+}
+
+// TestSendRejectsUnrepresentableReport: without a journal, a report the
+// wire layout cannot carry fails with ErrUnrepresentable and nothing
+// reaches the connection.
+func TestSendRejectsUnrepresentableReport(t *testing.T) {
+	bc := newByteCounter(t)
+	sender, err := DialTCPOpts(bc.l.Addr().String(), SenderOptions{Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := monTCPDropped.Value()
+	for i, r := range unrepresentable() {
+		if err := sender.Send(r); !errors.Is(err, ErrUnrepresentable) {
+			t.Fatalf("report %d: Send = %v, want ErrUnrepresentable", i, err)
+		}
+	}
+	sender.Close()
+	if n := bc.received(); n != 0 {
+		t.Fatalf("%d bytes reached the connection", n)
+	}
+	if monTCPDropped.Value() != dropped {
+		t.Fatal("a rejected report was counted as dropped after retries")
+	}
+}
+
+// TestDurableSendRejectsUnrepresentableReport: durable mode fails the same
+// reports with the same error, journaling and writing nothing.
+func TestDurableSendRejectsUnrepresentableReport(t *testing.T) {
+	bc := newByteCounter(t)
+	j := openTestJournal(t, "unrep.wal")
+	sender, err := DialTCPOpts(bc.l.Addr().String(), SenderOptions{Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range unrepresentable() {
+		if err := sender.Send(r); !errors.Is(err, ErrUnrepresentable) {
+			t.Fatalf("report %d: Send = %v, want ErrUnrepresentable", i, err)
+		}
+	}
+	sender.Close()
+	if n := bc.received(); n != 0 {
+		t.Fatalf("%d bytes reached the connection", n)
+	}
+	if p := j.Pending(); p != 0 {
+		t.Fatalf("%d rejected reports were journaled", p)
+	}
 }

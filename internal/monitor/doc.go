@@ -3,8 +3,8 @@
 // monitoring agent on each machine batches them, and a management server
 // assembles complete per-request rows and feeds the periodic model
 // (re)construction scheme. Two report transports are provided: in-process
-// channels (simulation) and TCP with gob encoding (the distributed
-// deployment stand-in).
+// channels (simulation) and TCP with fixed-layout binary frames (the
+// distributed deployment stand-in; see internal/wire).
 //
 // Paper mapping (Figure 1): Point ↔ a monitoring point attached to one
 // service, Agent ↔ the per-machine monitoring agent that batches

@@ -37,10 +37,9 @@ type Measurement struct {
 }
 
 // Report is one batch of measurements shipped by an agent. Trace carries
-// the batch's trace context when the agent's tracer sampled it; the zero
-// value gob-encodes to nothing, so reports from untraced agents are
-// byte-identical to pre-trace reports and old receivers simply ignore the
-// field (gob schema evolution).
+// the batch's trace context when the agent's tracer sampled it; on the
+// wire it rides the frame's trace extension, not the payload, so reports
+// from untraced agents ship untraced frames.
 type Report struct {
 	AgentID string
 	Batch   []Measurement

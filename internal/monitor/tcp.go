@@ -30,7 +30,6 @@ var (
 	monTCPRedials   = obs.C("monitor.tcp.redials")
 	monTCPBadFrames = obs.C("monitor.tcp.bad_frames")
 	monTCPBinaryRx  = obs.C("monitor.tcp.binary_frames_rx")
-	monTCPGobRx     = obs.C("monitor.tcp.gob_frames_rx")
 	monTCPDropped   = obs.C("monitor.tcp.dropped_reports")
 	monTCPJournaled = obs.C("monitor.tcp.journaled_frames")
 	monTCPAcksRx    = obs.C("monitor.tcp.acks_rx")
@@ -41,9 +40,15 @@ var (
 	monTCPTelDrop   = obs.C("monitor.tcp.telemetry_dropped")
 )
 
-// ErrSenderClosed is returned by Send/FlushJournal on a closed sender, and
-// by sends aborted because Close was called mid-retry.
-var ErrSenderClosed = errors.New("monitor: sender closed")
+var (
+	// ErrSenderClosed is returned by Send/FlushJournal on a closed sender,
+	// and by sends aborted because Close was called mid-retry.
+	ErrSenderClosed = errors.New("monitor: sender closed")
+	// ErrUnrepresentable is returned by Send, before anything is written or
+	// journaled, for a report the fixed wire layout cannot carry: an agent
+	// id over 255 bytes or a column outside int32.
+	ErrUnrepresentable = errors.New("monitor: report not representable in the wire layout")
+)
 
 // countingReader counts bytes read from the wrapped reader into a counter.
 type countingReader struct {
@@ -87,7 +92,7 @@ func (o ServerOptions) withDefaults() ServerOptions {
 }
 
 // TCPServer exposes a management Server over TCP: agents dial in and stream
-// framed gob-encoded Reports (see internal/wire). It is the distributed
+// framed measurement batches (see internal/wire). It is the distributed
 // stand-in for the paper's OGSA-based reporting path. Corrupted frames are
 // counted and skipped; the stream survives them. Journaled senders get
 // cumulative acks back on the same connection and their replayed duplicates
@@ -154,7 +159,7 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-// srvMsg is the binary-path decode scratch: a plain measurement batch or
+// srvMsg is the per-connection decode scratch: a plain measurement batch or
 // telemetry snapshot, either bare or inside a journaled envelope.
 // UnmarshalWire reuses the batch's and snapshot's backing arrays, so a
 // steady stream decodes without per-frame allocations.
@@ -207,13 +212,12 @@ func (s *TCPServer) serve(conn net.Conn) {
 	var msg srvMsg
 	var ackBuf []byte
 	for {
-		var r Report
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
 			// A conn that rejects deadlines can block this goroutine
 			// forever; treat it as dead.
 			return
 		}
-		isBinary, fctx, err := wire.DecodeAnyCtx(cr, 0, &r, &msg)
+		fctx, err := wire.Decode(cr, 0, &msg)
 		if err != nil {
 			if errors.Is(err, wire.ErrChecksum) {
 				// Frame fully consumed; stream still aligned. Count the
@@ -230,41 +234,38 @@ func (s *TCPServer) serve(conn net.Conn) {
 			}
 			return
 		}
+		monTCPBinaryRx.Inc()
 		deliver := true
-		if isBinary {
-			monTCPBinaryRx.Inc()
-			if msg.journaled && !s.opts.Dedup.Fresh(msg.origin, msg.seq) {
-				// At-least-once replay of a record we already accepted.
-				// Suppress the delivery but still ack below — the sender
-				// clearly never saw the previous ack.
-				monTCPDups.Inc()
-				deliver = false
+		if msg.journaled && !s.opts.Dedup.Fresh(msg.origin, msg.seq) {
+			// At-least-once replay of a record we already accepted.
+			// Suppress the delivery but still ack below — the sender
+			// clearly never saw the previous ack.
+			monTCPDups.Inc()
+			deliver = false
+		}
+		var r Report
+		if deliver && msg.isTel {
+			// Telemetry snapshots go to the fleet sink, not the inner
+			// measurement server. The sink call happens before the ack
+			// below, so a crash in between re-delivers and the
+			// aggregator's own (source, epoch, seq) dedup absorbs it.
+			monTCPTelRx.Inc()
+			if s.opts.Telemetry != nil {
+				s.opts.Telemetry(&msg.tel)
+			} else {
+				monTCPTelIgn.Inc()
 			}
-			if deliver && msg.isTel {
-				// Telemetry snapshots go to the fleet sink, not the inner
-				// measurement server. The sink call happens before the ack
-				// below, so a crash in between re-delivers and the
-				// aggregator's own (source, epoch, seq) dedup absorbs it.
-				monTCPTelRx.Inc()
-				if s.opts.Telemetry != nil {
-					s.opts.Telemetry(&msg.tel)
-				} else {
-					monTCPTelIgn.Inc()
-				}
-				deliver = false
-			} else if deliver {
-				// Convert to the server's Report form. The batch is freshly
-				// allocated because inner senders (collectors, forwarders)
-				// may retain it past this call.
-				r.AgentID = msg.mb.AgentID
-				r.Batch = make([]Measurement, len(msg.mb.Batch))
-				for i := range msg.mb.Batch {
-					m := &msg.mb.Batch[i]
-					r.Batch[i] = Measurement{RequestID: m.RequestID, Column: int(m.Column), Value: m.Value}
-				}
+			deliver = false
+		} else if deliver {
+			// Convert to the server's Report form. The batch is freshly
+			// allocated because inner senders (collectors, forwarders)
+			// may retain it past this call.
+			r.AgentID = msg.mb.AgentID
+			r.Batch = make([]Measurement, len(msg.mb.Batch))
+			for i := range msg.mb.Batch {
+				m := &msg.mb.Batch[i]
+				r.Batch[i] = Measurement{RequestID: m.RequestID, Column: int(m.Column), Value: m.Value}
 			}
-		} else {
-			monTCPGobRx.Inc()
 		}
 		if deliver && fctx.Sampled() {
 			// Reconstruct the wire hop as a span running from the sender's
@@ -283,7 +284,7 @@ func (s *TCPServer) serve(conn net.Conn) {
 		if deliver {
 			_ = s.inner.Send(r)
 		}
-		if isBinary && msg.journaled {
+		if msg.journaled {
 			// Cumulative ack, sent only after the inner server accepted the
 			// report: a crash between delivery and ack re-delivers, and the
 			// dedup window absorbs it. Ack failures mean a dead conn.
@@ -342,21 +343,14 @@ type SenderOptions struct {
 	// Injector, when non-nil, wraps every dialed connection with
 	// deterministic faults keyed by (AgentKey, send sequence, attempt).
 	Injector *faulty.Injector
-	// Codec selects the report encoding. CodecAuto (the default) ships
-	// fixed-layout binary frames and downgrades to gob only for the rest of
-	// a Send whose binary attempt failed; because the preference is
-	// re-derived at the start of every Send, a downgrade can never outlive
-	// the send that caused it — re-dials and fresh sends always return to
-	// the configured preference. CodecGob forces the old wire behavior.
-	Codec wire.Codec
 	// Journal switches the sender to durable store-and-forward mode: every
 	// report is appended to the journal first (Send then returns nil — an
 	// unreachable server costs latency, not data), shipped inside a
 	// binfmt.Journaled envelope, and released only by the server's
 	// cumulative ack. Unsent records replay automatically on the next Send
 	// or FlushJournal after a reconnect; the server dedups on (AgentKey,
-	// seq). Durable mode is binary-only. The caller keeps ownership of the
-	// journal (Close it separately after the sender).
+	// seq). The caller keeps ownership of the journal (Close it separately
+	// after the sender).
 	Journal *journal.Journal
 	// AckTimeout bounds the wait for the server's cumulative ack in durable
 	// mode (default IOTimeout).
@@ -394,40 +388,28 @@ type TCPSender struct {
 	// on the connection (a frame is written in more than one syscall).
 	sendMu sync.Mutex
 	// mu guards the fields below. It is never held across dials, writes, or
-	// backoff sleeps, so Close and SentFrames are always prompt.
-	mu      sync.Mutex
-	conn    net.Conn
-	closed  bool
-	seq     uint64 // sends attempted, for fault-plan keying
-	nBinary uint64 // frames sent with the binary codec
-	nGob    uint64 // frames sent with gob
+	// backoff sleeps, so Close is always prompt.
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
+	seq    uint64 // sends attempted, for fault-plan keying
 
 	// closeCh aborts in-flight backoff sleeps when Close is called.
 	closeCh chan struct{}
 
-	// Per-sender scratch, guarded by sendMu: the binary frame buffer, the
-	// journal payload buffer, and the wire-form batch are reused across
-	// sends, so the steady-state binary path allocates nothing per report.
+	// Per-sender scratch, guarded by sendMu: the frame buffer, the journal
+	// payload buffer, and the wire-form batch are reused across sends, so
+	// the steady-state path allocates nothing per report.
 	encBuf []byte
 	plBuf  []byte
 	mb     binfmt.MeasurementBatch
 }
 
-// SentFrames reports how many reports this sender shipped with each codec —
-// the observability hook codec-negotiation tests assert on.
-func (t *TCPSender) SentFrames() (binary, gob uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nBinary, t.nGob
-}
-
-// fillBatch converts r into the sender's scratch wire-form batch. It
-// reports false when the report cannot be represented in the fixed layout
-// (agent id over 255 bytes or a column outside int32) — the sender then
-// uses gob for that report.
-func (t *TCPSender) fillBatch(r *Report) bool {
+// fillBatch converts r into the sender's scratch wire-form batch, or
+// returns ErrUnrepresentable when the fixed layout cannot carry it.
+func (t *TCPSender) fillBatch(r *Report) error {
 	if len(r.AgentID) > 255 {
-		return false
+		return fmt.Errorf("%w: agent id is %d bytes (max 255)", ErrUnrepresentable, len(r.AgentID))
 	}
 	t.mb.AgentID = r.AgentID
 	if cap(t.mb.Batch) >= len(r.Batch) {
@@ -438,11 +420,11 @@ func (t *TCPSender) fillBatch(r *Report) bool {
 	for i := range r.Batch {
 		m := &r.Batch[i]
 		if m.Column < math.MinInt32 || m.Column > math.MaxInt32 {
-			return false
+			return fmt.Errorf("%w: column %d outside int32", ErrUnrepresentable, m.Column)
 		}
 		t.mb.Batch[i] = binfmt.Measurement{RequestID: m.RequestID, Column: int32(m.Column), Value: m.Value}
 	}
-	return true
+	return nil
 }
 
 // DialTCP connects a sender to the management server with default options
@@ -513,17 +495,13 @@ func (t *TCPSender) dropConn(c net.Conn) {
 
 // Send implements Sender.
 //
-// Without a journal: frame the report, write it under a deadline, and on
-// failure re-dial and retry up to the budget with seeded backoff jitter; an
-// exhausted budget is counted as a dropped report and journaled as data
-// loss. With a journal: append first, then flush best-effort — Send returns
-// nil once the report is durable, whatever the server's state.
-//
-// Codec negotiation is per-send by construction: the binary preference is
-// re-derived here from the configured Codec, a CodecAuto downgrade applies
-// only to this send's remaining attempts, and the re-dial inside the retry
-// loop carries no codec state — so stale "peer is gob-only" beliefs cannot
-// survive a reconnect or a server generation swap.
+// A report the wire layout cannot carry fails with ErrUnrepresentable in
+// both modes, before anything is written or journaled. Without a journal:
+// frame the report, write it under a deadline, and on failure re-dial and
+// retry up to the budget with seeded backoff jitter; an exhausted budget is
+// counted as a dropped report and journaled as data loss. With a journal:
+// append first, then flush best-effort — Send returns nil once the report
+// is durable, whatever the server's state.
 func (t *TCPSender) Send(r Report) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
@@ -535,10 +513,12 @@ func (t *TCPSender) Send(r Report) error {
 	seq := t.seq
 	t.seq++
 	t.mu.Unlock()
+	if err := t.fillBatch(&r); err != nil {
+		return err
+	}
 	if t.opts.Journal != nil {
 		return t.sendDurable(&r, seq)
 	}
-	binary := t.opts.Codec != wire.CodecGob && t.fillBatch(&r)
 	var lastErr error
 	for attempt := 0; attempt <= t.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -569,10 +549,9 @@ func (t *TCPSender) Send(r Report) error {
 			lastErr = err
 			continue
 		}
-		// Sampled reports ship the flagged frame layout, stamping each
+		// Sampled reports ship the traced frame layout, stamping each
 		// attempt with its own send timestamp and attempt number so the
-		// receiver can reconstruct per-attempt wire-hop spans. Unsampled
-		// reports stay byte-identical to the legacy layout.
+		// receiver can reconstruct per-attempt wire-hop spans.
 		var fctx wire.TraceContext
 		if r.Trace.Sampled() {
 			fctx = wire.TraceContext{
@@ -582,41 +561,20 @@ func (t *TCPSender) Send(r Report) error {
 				Attempt:    uint8(min(attempt, 255)),
 			}
 		}
-		if binary {
-			buf, err := wire.AppendBinaryFrame(t.encBuf[:0], &t.mb, fctx)
-			t.encBuf = buf
-			if err != nil {
-				// Unrepresentable despite the fillBatch check (can't happen
-				// for well-formed reports); fall back to gob this send.
-				binary = false
-			} else if _, err := conn.Write(buf); err != nil {
-				// The frame may have landed partially: the connection is not
-				// trustworthy anymore. Drop it and re-dial on the next
-				// attempt; under CodecAuto the rest of this send uses gob in
-				// case the peer rejected the binary layout.
-				if t.opts.Codec == wire.CodecAuto {
-					binary = false
-				}
-				t.dropConn(conn)
-				lastErr = err
-				continue
-			} else {
-				t.mu.Lock()
-				t.nBinary++
-				t.mu.Unlock()
-				return nil
-			}
+		buf, err := wire.AppendBinaryFrame(t.encBuf[:0], &t.mb, fctx)
+		t.encBuf = buf
+		if err != nil {
+			// Only a batch over the frame cap gets here; retrying cannot
+			// shrink it.
+			return fmt.Errorf("monitor: encode report: %w", err)
 		}
-		if _, err := wire.EncodeCtx(conn, &r, fctx); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			// The frame may have landed partially: the connection is not
 			// trustworthy anymore. Drop it and re-dial on the next attempt.
 			t.dropConn(conn)
 			lastErr = err
 			continue
 		}
-		t.mu.Lock()
-		t.nGob++
-		t.mu.Unlock()
 		return nil
 	}
 	// Retry budget exhausted without a journal: the report is gone. Never
@@ -632,8 +590,8 @@ func (t *TCPSender) Send(r Report) error {
 }
 
 // SendTelemetry ships one metric snapshot to the server's fleet sink over
-// the same connection (and journal, when configured) as reports. Telemetry
-// is binary-only — there is no gob form. In durable mode the snapshot is
+// the same connection (and journal, when configured) as reports. In
+// durable mode the snapshot is
 // appended to the journal first and replayed until acked, so telemetry
 // survives a server outage exactly like measurement data; without a journal
 // it retries on the report budget and an exhausted budget counts a
@@ -650,9 +608,6 @@ func (t *TCPSender) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
 	seq := t.seq
 	t.seq++
 	t.mu.Unlock()
-	if t.opts.Codec == wire.CodecGob {
-		return errors.New("monitor: telemetry snapshots are binary-only (CodecGob configured)")
-	}
 	if t.opts.Journal != nil {
 		payload, err := snap.AppendWire(t.plBuf[:0])
 		t.plBuf = payload
@@ -704,9 +659,6 @@ func (t *TCPSender) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
 			lastErr = err
 			continue
 		}
-		t.mu.Lock()
-		t.nBinary++
-		t.mu.Unlock()
 		monTCPTelTx.Inc()
 		return nil
 	}
@@ -714,14 +666,9 @@ func (t *TCPSender) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
 	return fmt.Errorf("monitor: telemetry send after %d attempts: %w", t.opts.Retries+1, lastErr)
 }
 
-// sendDurable is the journaled Send path: persist, then flush best-effort.
+// sendDurable is the journaled Send path: persist t.mb (filled by Send),
+// then flush best-effort.
 func (t *TCPSender) sendDurable(r *Report, seq uint64) error {
-	if t.opts.Codec == wire.CodecGob {
-		return errors.New("monitor: durable mode is binary-only (CodecGob configured)")
-	}
-	if !t.fillBatch(r) {
-		return errors.New("monitor: report not representable in the fixed binary layout; durable mode requires it")
-	}
 	payload, err := t.mb.AppendWire(t.plBuf[:0])
 	t.plBuf = payload
 	if err != nil {
@@ -788,9 +735,6 @@ func (t *TCPSender) flushJournal(dialSeq, traceSeq uint64, trace obs.TraceContex
 	if sent == 0 {
 		return nil
 	}
-	t.mu.Lock()
-	t.nBinary += uint64(sent)
-	t.mu.Unlock()
 	// One ack arrives per journaled frame, each carrying the cumulative
 	// watermark; reading until it covers the tail leaves the stream exactly
 	// drained. Any failure means re-delivery later — at-least-once, with
@@ -801,7 +745,7 @@ func (t *TCPSender) flushJournal(dialSeq, traceSeq uint64, trace obs.TraceContex
 			return err
 		}
 		var ack binfmt.Ack
-		if _, _, err := wire.DecodeAnyCtx(conn, 0, nil, &ack); err != nil {
+		if _, err := wire.Decode(conn, 0, &ack); err != nil {
 			t.dropConn(conn)
 			return err
 		}

@@ -4,9 +4,9 @@
 // ships between learning agents), and CPD deltas (fitted parameters back to
 // the server).
 //
-// Why not gob: the wire layer frames each message as an independent gob
-// stream so frames decode in isolation, which means every frame re-ships
-// gob's full type metadata — 100–350 bytes that dwarf the actual payload at
+// Why not gob: framing each message as an independent gob stream, so
+// frames decode in isolation, means every frame re-ships gob's full type
+// metadata — 100–350 bytes that dwarf the actual payload at
 // the batch sizes and delta cadences this system runs at. A fixed layout
 // ships only data: 8 bytes per measurement in the common cyclic-monitoring
 // case, 8 bytes per row value in a segment, and raw IEEE-754 parameters per
@@ -26,7 +26,8 @@
 // destination struct's backing arrays, so a long-lived connection decodes
 // with zero steady-state allocations.
 //
-// The encodings ride inside the standard CRC'd wire frame under the
-// FlagBinary flag bit (see package wire); gob remains the wire's fallback
-// for all other types and for old peers.
+// The encodings are the only payloads the CRC'd wire frame carries (see
+// package wire). encoding/gob survives only as the differential oracle in
+// this package's tests and as the offline comparator of the wire
+// benchmark.
 package binfmt

@@ -16,8 +16,8 @@ type Measurement struct {
 
 // MeasurementBatch is the fixed-layout form of one agent's flushed report.
 // The trace context does not ride the payload — it rides the wire frame's
-// flagged extension, exactly as for gob frames — so the payload carries only
-// the data every reader needs.
+// trace extension — so the payload carries only the data every reader
+// needs.
 //
 // Layout (big-endian):
 //

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -17,55 +15,27 @@ const Magic uint16 = 0x4B42
 // monitoring batch this system ships, far below an allocation bomb.
 const DefaultMaxFrame = 16 << 20
 
-const headerSize = 2 + 4 + 4 // magic | length | crc32
-
-// Flagged-frame extension. A flagged frame inserts one flag byte after the
-// magic:
+// Frame layout:
 //
 //	magic(2) | flag(1) | length(4) | crc32(4) | [ext(25)] | payload
 //
-// The flag byte always has bit 7 set. Because the legacy header puts the
-// length's most significant byte in that position and payloads are capped
-// at 16 MiB (MSB <= 0x01), bit 7 discriminates the two layouts without
-// ambiguity.
+// Flag registry — exactly two flag bytes are valid; every other value
+// (including the bytes an unflagged header would put there) is rejected
+// with ErrBadFlag:
 //
-// Flag-bit registry (low 7 bits; unknown bits are rejected with ErrBadFlag):
+//	0x82 — untraced: no extension; the CRC covers the payload.
+//	0x83 — traced: the 25-byte trace extension follows the header,
+//	       trace_id(8) | span_id(8) | send_unix_ns(8) | attempt(1),
+//	       big-endian, and the CRC covers ext||payload, so trace
+//	       corruption is detected like payload corruption.
 //
-//	0x01 FlagTrace  — the 25-byte trace extension follows the header:
-//	                  trace_id(8) | span_id(8) | send_unix_ns(8) | attempt(1),
-//	                  big-endian. The CRC covers ext||payload so trace
-//	                  corruption is detected like payload corruption.
-//	0x02 FlagBinary — the payload is a fixed-layout binfmt message, not a
-//	                  gob stream. No extension of its own; combines with
-//	                  FlagTrace (0x83 = traced binary).
-//
-// The extension is present iff FlagTrace is set; the CRC always covers
-// ext||payload (payload alone when there is no extension).
-//
-// Interop contract: unsampled gob frames keep the exact legacy layout, so a
-// legacy reader interoperates on the common path. A legacy reader handed a
-// flagged frame misparses the flag byte as the length MSB and fails
-// deterministically with ErrTooLarge (0x81xxxxxx > 16 MiB) — it never
-// decodes garbage. A flag-aware reader predating FlagBinary rejects binary
-// frames with ErrBadFlag. The current reader accepts all layouts.
+// The payload is always a fixed-layout binfmt message.
 const (
-	// FlagTrace marks a frame carrying the trace-context extension.
-	FlagTrace byte = 0x01
-	// FlagBinary marks a frame whose payload is a fixed-layout binfmt
-	// message rather than a gob stream. The trace extension is present iff
-	// FlagTrace is also set; an untraced binary frame is
-	// magic(2) | 0x82 | length(4) | crc32(4) | payload with the CRC over the
-	// payload alone. Readers predating this bit fail such frames
-	// deterministically with ErrBadFlag (flag-aware) or ErrTooLarge
-	// (pre-flag); they never decode garbage.
-	FlagBinary byte = 0x02
-	// flagMarker is bit 7, set on every flag byte.
-	flagMarker byte = 0x80
+	flagUntraced byte = 0x82
+	flagTraced   byte = 0x83
 
-	knownFlags = FlagTrace | FlagBinary
-
-	traceExtSize      = 8 + 8 + 8 + 1
-	flaggedHeaderSize = 2 + 1 + 4 + 4
+	traceExtSize = 8 + 8 + 8 + 1
+	headerSize   = 2 + 1 + 4 + 4
 )
 
 var (
@@ -78,15 +48,29 @@ var (
 	// ErrChecksum means the payload arrived corrupted. The full frame has
 	// been consumed, so the caller may skip it and read the next one.
 	ErrChecksum = errors.New("wire: frame checksum mismatch")
-	// ErrBadFlag means a flagged frame declared extension bits this reader
-	// does not know; the stream cannot be realigned.
+	// ErrBadFlag means the flag byte is neither 0x82 nor 0x83; the stream
+	// cannot be realigned.
 	ErrBadFlag = errors.New("wire: unknown frame flag")
 )
 
-// TraceContext is the cross-process trace extension a flagged frame
+// Marshaler is implemented by message types with a fixed binary layout
+// (binfmt.MeasurementBatch and friends). AppendWire appends the payload
+// encoding to dst and returns the extended slice, allocating only when dst
+// lacks capacity.
+type Marshaler interface {
+	AppendWire(dst []byte) ([]byte, error)
+}
+
+// Unmarshaler is the decoding half: UnmarshalWire decodes a fixed-layout
+// payload in place, reusing the receiver's backing arrays where possible.
+type Unmarshaler interface {
+	UnmarshalWire(payload []byte) error
+}
+
+// TraceContext is the cross-process trace extension a traced frame
 // carries: which trace and span caused the send, when it left the sender's
 // clock, and which retry attempt it was. The zero value means "untraced"
-// and encodes as a plain legacy frame.
+// and encodes as a 0x82 frame without extension.
 type TraceContext struct {
 	TraceID    uint64
 	SpanID     uint64
@@ -115,133 +99,137 @@ func traceContextFromExt(ext []byte) TraceContext {
 	}
 }
 
-// WriteFrame writes one framed payload and returns the bytes put on the
-// wire.
-func WriteFrame(w io.Writer, payload []byte) (int, error) {
-	if len(payload) > DefaultMaxFrame {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+// AppendBinaryFrame appends one complete frame carrying m to dst and
+// returns the extended slice. The zero trace context produces an
+// extension-free frame (flag 0x82); a sampled one produces the traced
+// layout (flag 0x83). On error dst is returned truncated to its original
+// length. A sender that reuses dst across calls encodes frames with zero
+// steady-state allocations.
+func AppendBinaryFrame(dst []byte, m Marshaler, tc TraceContext) ([]byte, error) {
+	start := len(dst)
+	flag := flagUntraced
+	extSize := 0
+	if tc.Sampled() {
+		flag = flagTraced
+		extSize = traceExtSize
 	}
-	hdr := make([]byte, headerSize)
-	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	binary.BigEndian.PutUint32(hdr[2:6], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(payload))
-	n1, err := w.Write(hdr)
+	// Reserve the header (and extension) bytes, then marshal the payload
+	// directly after them and backfill length and CRC.
+	var zero [headerSize + traceExtSize]byte
+	dst = append(dst, zero[:headerSize+extSize]...)
+	dst, err := m.AppendWire(dst)
 	if err != nil {
-		return n1, err
+		return dst[:start], fmt.Errorf("wire: encode: %w", err)
 	}
-	n2, err := w.Write(payload)
-	return n1 + n2, err
+	bodyStart := start + headerSize
+	length := len(dst) - bodyStart - extSize
+	if length > DefaultMaxFrame {
+		return dst[:start], fmt.Errorf("%w: %d bytes", ErrTooLarge, length)
+	}
+	binary.BigEndian.PutUint16(dst[start:], Magic)
+	dst[start+2] = flag
+	binary.BigEndian.PutUint32(dst[start+3:], uint32(length))
+	if extSize > 0 {
+		// Backfill the reserved extension bytes in place: the destination
+		// slice is empty but has exactly extSize capacity inside dst.
+		_ = tc.appendExt(dst[bodyStart : bodyStart : bodyStart+extSize])
+	}
+	binary.BigEndian.PutUint32(dst[start+7:], crc32.ChecksumIEEE(dst[bodyStart:]))
+	return dst, nil
 }
 
-// WriteFrameCtx writes one framed payload carrying trace context. The zero
-// context produces a byte-identical legacy frame; a sampled context
-// produces the flagged layout.
-func WriteFrameCtx(w io.Writer, payload []byte, tc TraceContext) (int, error) {
-	if !tc.Sampled() {
-		return WriteFrame(w, payload)
+// rawPayload marshals an already-encoded binfmt payload as itself.
+type rawPayload []byte
+
+func (p rawPayload) AppendWire(dst []byte) ([]byte, error) { return append(dst, p...), nil }
+
+// WriteBinaryPayload frames an already-encoded binfmt payload and writes
+// it, returning the bytes put on the wire. Relays use this to echo a
+// payload without re-encoding it.
+func WriteBinaryPayload(w io.Writer, payload []byte, tc TraceContext) (int, error) {
+	buf, err := AppendBinaryFrame(nil, rawPayload(payload), tc)
+	if err != nil {
+		return 0, err
 	}
-	if len(payload) > DefaultMaxFrame {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	buf := make([]byte, 0, flaggedHeaderSize+traceExtSize+len(payload))
-	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, flagMarker|FlagTrace)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(tc.appendExt(nil))
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	buf = binary.BigEndian.AppendUint32(buf, crc)
-	buf = tc.appendExt(buf)
-	buf = append(buf, payload...)
 	return w.Write(buf)
 }
 
-// ReadFrame reads one frame, enforcing the max payload size (maxLen <= 0
+// Encode writes m as one frame carrying trace context (untraced when tc is
+// the zero value), returning the bytes put on the wire. Callers on a hot
+// path should prefer AppendBinaryFrame with a reused buffer; this helper
+// allocates the frame.
+func Encode(w io.Writer, m Marshaler, tc TraceContext) (int, error) {
+	buf, err := AppendBinaryFrame(nil, m, tc)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(buf)
+}
+
+// Decode reads one frame and decodes its payload into u, returning the
+// frame's trace context. Checksum failures return ErrChecksum and payloads
+// u rejects return its error (binfmt.ErrMalformed), both wrapped and both
+// with the stream still aligned, so callers choosing resilience can count
+// and skip.
+func Decode(r io.Reader, maxLen int, u Unmarshaler) (TraceContext, error) {
+	payload, tc, err := ReadFrame(r, maxLen)
+	if err != nil {
+		return tc, err
+	}
+	if err := u.UnmarshalWire(payload); err != nil {
+		return tc, fmt.Errorf("wire: decode: %w", err)
+	}
+	return tc, nil
+}
+
+// ReadFrame reads one frame, returning its payload and trace context (zero
+// for untraced frames) and enforcing the max payload size (maxLen <= 0
 // means DefaultMaxFrame). A checksum failure is reported only after the
 // frame is fully consumed, so the stream stays aligned for the next read.
 // Truncation surfaces as io.EOF (clean close before any header byte) or
-// io.ErrUnexpectedEOF (mid-frame). Flagged frames are accepted and their
-// trace context discarded.
-func ReadFrame(r io.Reader, maxLen int) ([]byte, error) {
-	payload, _, err := ReadFrameCtx(r, maxLen)
-	return payload, err
-}
-
-// ReadFrameCtx reads one frame in either layout, returning the payload and
-// the trace context (zero for legacy frames). Binary-flagged frames are
-// accepted; use ReadFrameAnyCtx when the caller must know which codec the
-// payload uses.
-func ReadFrameCtx(r io.Reader, maxLen int) ([]byte, TraceContext, error) {
-	payload, _, tc, err := ReadFrameAnyCtx(r, maxLen)
-	return payload, tc, err
-}
-
-// ReadFrameAnyCtx reads one frame in any layout, additionally reporting
-// whether the payload is a fixed-layout binary message (FlagBinary set) as
-// opposed to a gob stream.
-func ReadFrameAnyCtx(r io.Reader, maxLen int) (payload []byte, isBinary bool, tc TraceContext, err error) {
+// io.ErrUnexpectedEOF (mid-frame).
+func ReadFrame(r io.Reader, maxLen int) ([]byte, TraceContext, error) {
 	if maxLen <= 0 {
 		maxLen = DefaultMaxFrame
 	}
-	// Read through the byte after the magic: bit 7 tells the layouts apart
-	// (a legacy length MSB is at most 0x01 under the 16 MiB cap).
-	head := make([]byte, 3)
-	if _, err := io.ReadFull(r, head); err != nil {
+	var hdr [headerSize]byte
+	// Read through the flag byte first, so a bad magic or flag is reported
+	// as such even on a stream cut right after it.
+	if _, err := io.ReadFull(r, hdr[:3]); err != nil {
 		// ReadFull yields io.EOF on a clean close before any byte and
 		// io.ErrUnexpectedEOF mid-header; both pass through untouched.
-		return nil, false, TraceContext{}, err
+		return nil, TraceContext{}, err
 	}
-	if binary.BigEndian.Uint16(head[0:2]) != Magic {
-		return nil, false, TraceContext{}, ErrBadMagic
+	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
+		return nil, TraceContext{}, ErrBadMagic
 	}
-	if head[2]&flagMarker == 0 {
-		// Legacy layout: head[2] is the length MSB; read the remaining
-		// 3 length bytes and the CRC.
-		rest := make([]byte, headerSize-3)
-		if _, err := io.ReadFull(r, rest); err != nil {
-			return nil, false, TraceContext{}, unexpectedEOF(err)
-		}
-		length := uint32(head[2])<<24 | uint32(rest[0])<<16 | uint32(rest[1])<<8 | uint32(rest[2])
-		if int64(length) > int64(maxLen) {
-			return nil, false, TraceContext{}, fmt.Errorf("%w: %d bytes (cap %d)", ErrTooLarge, length, maxLen)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, false, TraceContext{}, unexpectedEOF(err)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[3:7]) {
-			return nil, false, TraceContext{}, ErrChecksum
-		}
-		return payload, false, TraceContext{}, nil
-	}
-	flag := head[2]
-	bits := flag &^ flagMarker
-	if bits&^knownFlags != 0 || bits == 0 {
-		return nil, false, TraceContext{}, fmt.Errorf("%w: 0x%02x", ErrBadFlag, flag)
-	}
-	isBinary = bits&FlagBinary != 0
 	extSize := 0
-	if bits&FlagTrace != 0 {
+	switch flag := hdr[2]; flag {
+	case flagUntraced:
+	case flagTraced:
 		extSize = traceExtSize
+	default:
+		return nil, TraceContext{}, fmt.Errorf("%w: 0x%02x", ErrBadFlag, flag)
 	}
-	rest := make([]byte, flaggedHeaderSize-3)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return nil, false, TraceContext{}, unexpectedEOF(err)
+	if _, err := io.ReadFull(r, hdr[3:]); err != nil {
+		return nil, TraceContext{}, unexpectedEOF(err)
 	}
-	length := binary.BigEndian.Uint32(rest[0:4])
+	length := binary.BigEndian.Uint32(hdr[3:7])
 	if int64(length) > int64(maxLen) {
-		return nil, false, TraceContext{}, fmt.Errorf("%w: %d bytes (cap %d)", ErrTooLarge, length, maxLen)
+		return nil, TraceContext{}, fmt.Errorf("%w: %d bytes (cap %d)", ErrTooLarge, length, maxLen)
 	}
 	body := make([]byte, extSize+int(length))
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, false, TraceContext{}, unexpectedEOF(err)
+		return nil, TraceContext{}, unexpectedEOF(err)
 	}
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(rest[4:8]) {
-		return nil, false, TraceContext{}, ErrChecksum
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[7:11]) {
+		return nil, TraceContext{}, ErrChecksum
 	}
+	var tc TraceContext
 	if extSize > 0 {
 		tc = traceContextFromExt(body[:extSize])
 	}
-	return body[extSize:], isBinary, tc, nil
+	return body[extSize:], tc, nil
 }
 
 func unexpectedEOF(err error) error {
@@ -249,46 +237,4 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// Encode gob-encodes v into a fresh frame and writes it, returning the
-// bytes put on the wire. Each frame carries an independent gob stream, so
-// frames decode in isolation.
-func Encode(w io.Writer, v any) (int, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("wire: encode: %w", err)
-	}
-	return WriteFrame(w, buf.Bytes())
-}
-
-// EncodeCtx gob-encodes v into a frame carrying trace context (legacy
-// layout when tc is the zero value), returning the bytes put on the wire.
-func EncodeCtx(w io.Writer, v any, tc TraceContext) (int, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("wire: encode: %w", err)
-	}
-	return WriteFrameCtx(w, buf.Bytes(), tc)
-}
-
-// Decode reads one frame and gob-decodes its payload into v. Checksum
-// failures return ErrChecksum (wrapped) with the stream still aligned;
-// callers choosing resilience can count and skip.
-func Decode(r io.Reader, maxLen int, v any) error {
-	_, err := DecodeCtx(r, maxLen, v)
-	return err
-}
-
-// DecodeCtx reads one frame in either layout and gob-decodes its payload
-// into v, returning the frame's trace context (zero for legacy frames).
-func DecodeCtx(r io.Reader, maxLen int, v any) (TraceContext, error) {
-	payload, tc, err := ReadFrameCtx(r, maxLen)
-	if err != nil {
-		return tc, err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return tc, fmt.Errorf("wire: decode: %w", err)
-	}
-	return tc, nil
 }

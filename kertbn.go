@@ -262,7 +262,8 @@ type (
 	Shipper = decentral.Shipper
 	// InProcShipper copies columns in-process.
 	InProcShipper = decentral.InProcShipper
-	// TCPFabric ships columns through real TCP sockets with gob encoding.
+	// TCPFabric ships columns through real TCP sockets as framed row
+	// segments.
 	TCPFabric = decentral.TCPFabric
 	// LearnOptions controls CPT smoothing during parameter learning.
 	LearnOptions = learn.Options
