@@ -43,7 +43,7 @@ alloc:
 
 # Run every layer benchmark once, so none of them can rot.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/factor ./internal/dataset
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/factor ./internal/dataset ./internal/monitor ./internal/journal
 
 # Differential tests: LW posteriors and the junction tree against exact oracles.
 differential:

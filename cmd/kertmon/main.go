@@ -51,7 +51,8 @@
 // directory before shipping, so a management-server outage parks rows on
 // disk instead of losing them; they replay after reconnect and the server
 // dedups on (origin, seq). Journals persist across runs — a crashed run's
-// unacked reports ship first on the next start.
+// unacked reports ship first on the next start; a clean run drains every
+// journal before exiting, so the next start replays nothing.
 //
 // kertmon is also the fleet telemetry plane's management side: its TCP
 // server accepts TelemetrySnapshot frames from any agent started with
@@ -451,6 +452,14 @@ func main() {
 	if !inner.WaitComplete(*requests, 5*time.Second) {
 		fmt.Fprintf(os.Stderr, "kertmon: warning: only %d/%d rows drained before timeout\n",
 			inner.CompleteCount(), *requests)
+	}
+	// A durable Send leaves its newest frame in flight; drain every journal
+	// so a clean run leaves nothing for the next run to replay.
+	for i, j := range journals {
+		if err := senders[i].FlushJournal(); err != nil || j.Pending() > 0 {
+			fmt.Fprintf(os.Stderr, "kertmon: warning: %d journaled reports still pending after the shutdown drain (%v); the next run replays them\n",
+				j.Pending(), err)
+		}
 	}
 	fmt.Printf("\npipeline done: %d requests measured, %d rows assembled, %d reconstructions\n",
 		*requests, inner.CompleteCount(), sched.Rebuilds())

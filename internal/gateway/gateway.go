@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"kertbn/internal/core"
+	"kertbn/internal/infer"
 	"kertbn/internal/obs"
 	"kertbn/internal/stats"
 	"kertbn/internal/telemetry"
@@ -308,7 +310,11 @@ func (s *Server) runQueries(key string, gen int, build func() (any, error)) (*ca
 		<-hold
 	}
 	v, err := build()
-	if err != nil {
+	if errors.Is(err, infer.ErrZeroEvidence) {
+		// The evidence is impossible under the deployed model: the request,
+		// not the server, is at fault.
+		c.err, c.status = err, http.StatusUnprocessableEntity
+	} else if err != nil {
 		c.err, c.status = err, http.StatusInternalServerError
 	} else if body, rerr := renderJSON(v); rerr != nil {
 		c.err, c.status = rerr, http.StatusInternalServerError

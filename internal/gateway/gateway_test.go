@@ -439,3 +439,36 @@ func (s *Server) flightLen() int {
 	defer s.flightMu.Unlock()
 	return len(s.flight)
 }
+
+// TestGatewayImpossibleEvidenceIs422: on a continuous leaky model, a dcomp
+// whose observed D lies far beyond the window's range gives every
+// likelihood-weighting sample zero weight. That is a request the model
+// cannot answer, so the gateway says 422, not 500.
+func TestGatewayImpossibleEvidenceIs422(t *testing.T) {
+	sys := simsvc.EDiaMoNDSystem()
+	train, err := sys.GenerateDataset(300, stats.NewRNG(5))
+	if err != nil {
+		t.Fatalf("dataset: %v", err)
+	}
+	cfg := core.DefaultKERTConfig(workflow.EDiaMoND())
+	cfg.Leak = 0.05
+	m, err := core.BuildKERT(cfg, train)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	h := New(m, Options{}).Handler()
+	names := m.Net.Names()
+	body := func(d float64) map[string]any {
+		return map[string]any{"target": names[0], "observed": map[string]float64{names[m.DNode]: d}}
+	}
+	if w := post(t, h, "/v1/query/dcomp", body(train.Rows[0][m.DNode]), nil); w.Code != http.StatusOK {
+		t.Fatalf("dcomp with an in-window D: %d %s", w.Code, w.Body.String())
+	}
+	w := post(t, h, "/v1/query/dcomp", body(1e6), nil)
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("dcomp with an impossible D: %d %s, want 422", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), "zero evidence likelihood") {
+		t.Errorf("422 body does not name the cause: %s", w.Body.String())
+	}
+}

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +11,13 @@ import (
 	"kertbn/internal/obs"
 	"kertbn/internal/stats"
 )
+
+// ErrZeroEvidence is wrapped by the likelihood-weighting samplers when
+// every sample gives the evidence zero likelihood: the observation is
+// impossible under the model (for example a D value beyond the leak range of
+// a continuous model), so no posterior exists. It is a fact about the
+// query, not a failure of the sampler.
+var ErrZeroEvidence = errors.New("infer: zero evidence likelihood")
 
 var (
 	lwQueries = obs.C("infer.lw.queries")
@@ -71,7 +79,7 @@ func LikelihoodWeighting(n *bn.Network, query int, ev ContinuousEvidence, nSampl
 		out.Weights = append(out.Weights, logW)
 	}
 	if len(out.Values) == 0 {
-		return nil, fmt.Errorf("infer: all %d samples had zero evidence likelihood", nSamples)
+		return nil, fmt.Errorf("%w: all %d samples had zero weight", ErrZeroEvidence, nSamples)
 	}
 	normalizeLogWeights(out.Weights)
 	return out, nil

@@ -284,7 +284,7 @@ func (p *QueryPlan) Serial(ev ContinuousEvidence, nSamples int, rng *stats.RNG) 
 	values, logws := p.run(rng, nSamples, evVal,
 		make([]float64, 0, nSamples), make([]float64, 0, nSamples), &sc)
 	if len(values) == 0 {
-		return nil, fmt.Errorf("infer: all %d samples had zero evidence likelihood", nSamples)
+		return nil, fmt.Errorf("%w: all %d samples had zero weight", ErrZeroEvidence, nSamples)
 	}
 	normalizeLogWeights(logws)
 	return &WeightedSamples{Values: values, Weights: logws}, nil
@@ -337,7 +337,7 @@ func (p *QueryPlan) Parallel(ctx context.Context, ev ContinuousEvidence, nSample
 		out.Weights = append(out.Weights, shardLogs[s]...)
 	}
 	if len(out.Values) == 0 {
-		return nil, fmt.Errorf("infer: all %d samples had zero evidence likelihood", nSamples)
+		return nil, fmt.Errorf("%w: all %d samples had zero weight", ErrZeroEvidence, nSamples)
 	}
 	normalizeLogWeights(out.Weights)
 	return out, nil

@@ -9,7 +9,8 @@
 //
 // with the CRC computed over seq||payload (big-endian throughout). Delivery
 // is at-least-once: transports Replay every unacknowledged record after a
-// reconnect, the receiver dedups on (origin, seq) watermarks (see Dedup), and
+// reconnect (ReplayAfter skips what the live connection already carried),
+// the receiver dedups on (origin, seq) watermarks (see Dedup), and
 // cumulative Acks release records. Acknowledgements are deliberately not
 // persisted — after a crash every surviving record replays and the receiver's
 // dedup window absorbs the duplicates, which keeps the commit path to one
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sort"
 	"sync"
 	"time"
 
@@ -473,41 +475,51 @@ func (j *Journal) payloadLocked(i int) ([]byte, error) {
 	return p, nil
 }
 
-// Replay invokes fn for every pending record in sequence order. Payload
-// slices are valid for the duration of the callback. A record enumerated
-// for the second or later time counts as a replay (journal.replayed_records);
-// fn's error aborts the sweep and is returned.
+// Replay invokes fn for every pending record in sequence order; it is
+// ReplayAfter(0, fn).
 func (j *Journal) Replay(fn func(seq uint64, payload []byte, attempts int) error) error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	type item struct {
-		seq      uint64
-		payload  []byte
-		attempts int
-	}
-	items := make([]item, 0, len(j.pend))
-	for i := range j.pend {
+	return j.ReplayAfter(0, fn)
+}
+
+// ReplayAfter invokes fn for every pending record with a sequence number
+// above after, in sequence order — a transport's per-connection write
+// cursor, so records already carried by the live connection are neither
+// re-sent nor counted again. Records appended or acked while the sweep runs
+// are seen as they are when the sweep reaches them. Payload slices are
+// valid for the duration of the callback. A record enumerated for the
+// second or later time counts as a replay (journal.replayed_records); fn's
+// error aborts the sweep and is returned. The lock is taken once per
+// record, never across fn, so a slow callback does not stall Append or Ack.
+func (j *Journal) ReplayAfter(after uint64, fn func(seq uint64, payload []byte, attempts int) error) error {
+	for {
+		j.mu.Lock()
+		if j.closed {
+			j.mu.Unlock()
+			return ErrClosed
+		}
+		// pend is sorted by seq.
+		i := sort.Search(len(j.pend), func(i int) bool { return j.pend[i].seq > after })
+		if i == len(j.pend) {
+			j.mu.Unlock()
+			return nil
+		}
 		p, err := j.payloadLocked(i)
 		if err != nil {
 			j.mu.Unlock()
 			return err
 		}
-		items = append(items, item{seq: j.pend[i].seq, payload: p, attempts: j.pend[i].attempts})
-		if j.pend[i].attempts > 0 {
+		rec := &j.pend[i]
+		seq, attempts := rec.seq, rec.attempts
+		if attempts > 0 {
 			jReplays.Inc()
 		}
-		j.pend[i].attempts++
-	}
-	j.mu.Unlock()
-	for i := range items {
-		if err := fn(items[i].seq, items[i].payload, items[i].attempts); err != nil {
+		rec.attempts++
+		j.mu.Unlock()
+		if err := fn(seq, p, attempts); err != nil {
 			return err
 		}
+		after = seq
 	}
-	return nil
 }
 
 // Pending returns the unacknowledged record count.

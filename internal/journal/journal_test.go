@@ -467,3 +467,81 @@ func TestConcurrentAppendAck(t *testing.T) {
 		t.Fatalf("acked = %d, want %d", j.AckedSeq(), n)
 	}
 }
+
+// TestReplayAfterSkipsCursor: ReplayAfter enumerates only pending records
+// above the cursor, so a transport's in-flight records are neither re-sent
+// nor counted as replays, and a steady-state sweep allocates nothing.
+func TestReplayAfterSkipsCursor(t *testing.T) {
+	j, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 5; i++ {
+		j.Append([]byte{byte(i)})
+	}
+	after := func(cursor uint64) (seqs []uint64, attempts []int) {
+		t.Helper()
+		err := j.ReplayAfter(cursor, func(seq uint64, payload []byte, n int) error {
+			if payload[0] != byte(seq-1) {
+				t.Fatalf("seq %d carries payload %v", seq, payload)
+			}
+			seqs = append(seqs, seq)
+			attempts = append(attempts, n)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seqs, attempts
+	}
+	replays := jReplays.Value()
+	if seqs, att := after(2); fmt.Sprint(seqs, att) != "[3 4 5] [0 0 0]" {
+		t.Fatalf("ReplayAfter(2) = %v attempts %v, want [3 4 5] first attempts", seqs, att)
+	}
+	if seqs, _ := after(5); len(seqs) != 0 {
+		t.Fatalf("ReplayAfter(5) = %v, want nothing past the newest record", seqs)
+	}
+	if jReplays.Value() != replays {
+		t.Fatal("first enumerations counted as replays")
+	}
+	// Records at or below the ack watermark are gone; the cursor may point
+	// below it. Only re-enumerated records count as replays.
+	j.Ack(3)
+	if seqs, att := after(1); fmt.Sprint(seqs, att) != "[4 5] [1 1]" {
+		t.Fatalf("ReplayAfter(1) after Ack(3) = %v attempts %v, want [4 5] second attempts", seqs, att)
+	}
+	if got := jReplays.Value() - replays; got != 2 {
+		t.Fatalf("journal.replayed_records advanced by %d, want 2", got)
+	}
+	noop := func(uint64, []byte, int) error { return nil }
+	if avg := testing.AllocsPerRun(100, func() { j.ReplayAfter(4, noop) }); avg != 0 {
+		t.Fatalf("ReplayAfter over a resident record allocates %v per sweep, want 0", avg)
+	}
+}
+
+// BenchmarkJournalAppend times one Append of a 500-byte payload (about one
+// 25-measurement batch) to a file journal in steady state: every earlier
+// record is acked, so the pending set stays at one and compaction reclaims
+// the file every CompactBytes — with and without an fsync per record.
+func BenchmarkJournalAppend(b *testing.B) {
+	for _, sync := range []bool{false, true} {
+		b.Run(fmt.Sprintf("sync=%v", sync), func(b *testing.B) {
+			j, err := Open(Options{Path: filepath.Join(b.TempDir(), "bench.wal"), SyncOnAppend: sync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			payload := make([]byte, 500)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq, err := j.Append(payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				j.Ack(seq - 1)
+			}
+		})
+	}
+}

@@ -10,6 +10,9 @@ import (
 
 	"kertbn/internal/faulty"
 	"kertbn/internal/journal"
+	"kertbn/internal/obs"
+	"kertbn/internal/wire"
+	"kertbn/internal/wire/binfmt"
 )
 
 func openTestJournal(t *testing.T, name string) *journal.Journal {
@@ -74,8 +77,16 @@ func TestDurableSenderSurvivesServerRestart(t *testing.T) {
 		send(id)
 	}
 	waitFor(t, "pre-outage rows", func() bool { return rc.count() == 5 })
+	// One frame stays in flight: the newest record's ack is read by the next
+	// Send or FlushJournal.
+	if j.Pending() > 1 {
+		t.Fatalf("journal holds %d records while the server is healthy, want at most the one in flight", j.Pending())
+	}
+	if err := sender.FlushJournal(); err != nil {
+		t.Fatal(err)
+	}
 	if j.Pending() != 0 {
-		t.Fatalf("journal holds %d records while the server is healthy", j.Pending())
+		t.Fatalf("journal holds %d records after FlushJournal on a healthy server", j.Pending())
 	}
 
 	// Outage: the server goes away mid-stream. Durable sends still succeed.
@@ -135,6 +146,11 @@ func TestDurableSenderCrashRecovery(t *testing.T) {
 		}
 	}
 	waitFor(t, "pre-crash rows", func() bool { return rc.count() == 3 })
+	// Drain the frame Send left in flight, so the file is empty before the
+	// outage.
+	if err := sender.FlushJournal(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Server dies; two more rows park in the journal; then the agent "crashes"
 	// before any flush lands.
@@ -409,4 +425,272 @@ func TestDroppedReportAccounting(t *testing.T) {
 	if got := monTCPDropped.Value() - before; got != failed {
 		t.Fatalf("dropped_reports advanced by %d, want %d", got, failed)
 	}
+}
+
+// TestDurableSenderCorruptionExactlyOnce: a bit flip in flight makes the
+// server skip a journaled frame without acking it. With a frame in flight
+// behind it, the next frame must not be delivered past the gap — its
+// cumulative ack would release the skipped record unsent. Every row must
+// still land exactly once after a clean drain.
+func TestDurableSenderCorruptionExactlyOnce(t *testing.T) {
+	const rows = 30
+	rc := &rowCollector{}
+	inner, _ := NewServer(1, rc.sink)
+	dedup := journal.NewDedup()
+	srv, err := ListenTCPOpts("127.0.0.1:0", inner, ServerOptions{Dedup: dedup, IdleTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	inj, err := faulty.NewInjector(faulty.Config{Seed: 13, Corrupt: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := openTestJournal(t, "corrupt.wal")
+	chaos, err := DialTCPOpts(srv.Addr(), SenderOptions{
+		Journal: j, AgentKey: 13, Seed: 13, Injector: inj,
+		IOTimeout: 200 * time.Millisecond, AckTimeout: 200 * time.Millisecond,
+		Backoff: tinyBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chaos.Close()
+	before := monTCPBadFrames.Value()
+	for id := int64(1); id <= rows; id++ {
+		if err := chaos.Send(Report{AgentID: "a", Batch: []Measurement{{RequestID: id, Column: 0, Value: float64(id)}}}); err != nil {
+			t.Fatalf("durable send %d under corruption: %v", id, err)
+		}
+	}
+	if monTCPBadFrames.Value() == before {
+		t.Fatal("fault schedule corrupted no frame; the test exercises nothing")
+	}
+	drain, err := DialTCPOpts(srv.Addr(), SenderOptions{
+		Journal: j, AgentKey: 13, Seed: 14,
+		IOTimeout: 300 * time.Millisecond, AckTimeout: 300 * time.Millisecond,
+		Backoff: tinyBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain.Close()
+	waitFor(t, "corruption journal drain", func() bool {
+		_ = drain.FlushJournal()
+		return j.Pending() == 0
+	})
+	if rc.count() != rows {
+		t.Fatalf("delivered %d rows, want exactly %d", rc.count(), rows)
+	}
+	uniqueValues(t, rc)
+}
+
+// withholdingServer accepts one agent connection, reads its journaled
+// frames and acks only when told to: it pins where a durable Send waits.
+type withholdingServer struct {
+	l    net.Listener
+	conn chan net.Conn
+	seqs chan uint64
+}
+
+func listenWithholding(t *testing.T) *withholdingServer {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seqs holds more frames than a test sends, so the reader never blocks
+	// on it; the reader exits when the test closes the connection.
+	ws := &withholdingServer{l: l, conn: make(chan net.Conn, 1), seqs: make(chan uint64, 16)}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		ws.conn <- c
+		var msg srvMsg
+		for {
+			if _, err := wire.Decode(c, 0, &msg); err != nil {
+				return
+			}
+			ws.seqs <- msg.seq
+		}
+	}()
+	return ws
+}
+
+// writeAck sends one cumulative ack frame on c.
+func writeAck(t *testing.T, c net.Conn, origin, seq uint64) {
+	t.Helper()
+	buf, err := wire.AppendBinaryFrame(nil, &binfmt.Ack{Origin: origin, Seq: seq}, wire.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableSendKeepsOneFrameInFlight pins the pipelined contract: the
+// first Send returns with its record written but unacked, and the second
+// blocks until the first record's ack arrives — or, against a server that
+// never acks, until AckTimeout, still returning nil (the record is durable).
+func TestDurableSendKeepsOneFrameInFlight(t *testing.T) {
+	ws := listenWithholding(t)
+	j := openTestJournal(t, "inflight.wal")
+	const ackTimeout = 300 * time.Millisecond
+	sender, err := DialTCPOpts(ws.l.Addr().String(), SenderOptions{
+		Journal: j, AgentKey: 5, Seed: 5,
+		IOTimeout: time.Second, AckTimeout: ackTimeout, Backoff: tinyBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	c := <-ws.conn
+	defer c.Close()
+	send := func(id int64) error {
+		return sender.Send(Report{AgentID: "a", Batch: []Measurement{{RequestID: id, Column: 0, Value: float64(id)}}})
+	}
+	nextFrame := func() uint64 {
+		t.Helper()
+		select {
+		case seq := <-ws.seqs:
+			return seq
+		case <-time.After(2 * time.Second):
+			t.Fatal("no frame reached the server")
+			return 0
+		}
+	}
+
+	if err := send(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := nextFrame(); got != 1 {
+		t.Fatalf("first frame carried seq %d, want 1", got)
+	}
+	if j.Pending() != 1 {
+		t.Fatalf("pending = %d after the first Send, want its record in flight", j.Pending())
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- send(2) }()
+	if got := nextFrame(); got != 2 {
+		t.Fatalf("second frame carried seq %d, want 2", got)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("second Send returned (%v) before the first record was acked", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	writeAck(t, c, 5, 1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("second Send did not return after the first ack")
+	}
+	if j.AckedSeq() != 1 || j.Pending() != 1 {
+		t.Fatalf("acked=%d pending=%d, want record 1 released and record 2 in flight", j.AckedSeq(), j.Pending())
+	}
+
+	// Record 2 is never acked: the third Send waits out AckTimeout, drops
+	// the connection and still reports success — the record is on disk.
+	start := time.Now()
+	if err := send(3); err != nil {
+		t.Fatalf("durable Send must succeed without an ack: %v", err)
+	}
+	if d := time.Since(start); d < ackTimeout {
+		t.Fatalf("third Send returned after %v, before AckTimeout %v", d, ackTimeout)
+	}
+	if j.Pending() != 2 {
+		t.Fatalf("pending = %d, want records 2 and 3 parked", j.Pending())
+	}
+}
+
+// TestDurableSenderReplaysInFlightFrameOnce: a connection that dies with a
+// frame in flight (delivered, ack never sent) replays exactly that record
+// once on the next connection — one duplicate suppressed, one
+// journal.replayed_records, one delivered row.
+func TestDurableSenderReplaysInFlightFrameOnce(t *testing.T) {
+	rc := &rowCollector{}
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var held atomic.Bool
+	inner, _ := NewServer(1, func(row []float64) {
+		if held.CompareAndSwap(false, true) {
+			// Hold the first delivery, and with it the server's ack.
+			entered <- struct{}{}
+			<-release
+		}
+		rc.sink(row)
+	})
+	dedup := journal.NewDedup()
+	srv, err := ListenTCPOpts("127.0.0.1:0", inner, ServerOptions{Dedup: dedup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	j := openTestJournal(t, "replay-once.wal")
+	sender, err := DialTCPOpts(addr, SenderOptions{
+		Journal: j, AgentKey: 17, Seed: 17,
+		IOTimeout: 300 * time.Millisecond, AckTimeout: 300 * time.Millisecond,
+		Backoff: tinyBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	send := func(id int64) {
+		t.Helper()
+		if err := sender.Send(Report{AgentID: "a", Batch: []Measurement{{RequestID: id, Column: 0, Value: float64(id)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send(1)
+	<-entered
+	// Sever the connection while record 1 is being delivered: the server
+	// closes its conns first, so the ack that follows the release fails.
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	waitFor(t, "server shutdown to sever its conns", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.closed
+	})
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := ListenTCPOpts(addr, inner, ServerOptions{Dedup: dedup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+
+	replays, dups := obs.C("journal.replayed_records").Value(), monTCPDups.Value()
+	// The old connection holds no ack: the flush fails and drops it.
+	if err := sender.FlushJournal(); err == nil {
+		t.Fatal("flush over the severed connection must fail")
+	}
+	// The fresh connection replays record 1 once, then carries record 2.
+	send(2)
+	if err := sender.FlushJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if j.Pending() != 0 {
+		t.Fatalf("pending = %d after the drain", j.Pending())
+	}
+	if got := obs.C("journal.replayed_records").Value() - replays; got != 1 {
+		t.Fatalf("journal.replayed_records advanced by %d, want 1", got)
+	}
+	if got := monTCPDups.Value() - dups; got != 1 {
+		t.Fatalf("monitor.tcp.dup_suppressed advanced by %d, want 1", got)
+	}
+	if rc.count() != 2 {
+		t.Fatalf("delivered %d rows, want exactly 2", rc.count())
+	}
+	uniqueValues(t, rc)
 }

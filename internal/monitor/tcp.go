@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -211,6 +212,10 @@ func (s *TCPServer) serve(conn net.Conn) {
 	cr := &countingReader{r: conn, c: monTCPBytesRx}
 	var msg srvMsg
 	var ackBuf []byte
+	// corrupted is set once a checksum failure has skipped a frame on this
+	// connection. That frame may have been a journaled record, never acked;
+	// a later journaled frame's cumulative ack would release it unsent.
+	corrupted := false
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
 			// A conn that rejects deadlines can block this goroutine
@@ -223,6 +228,7 @@ func (s *TCPServer) serve(conn net.Conn) {
 				// Frame fully consumed; stream still aligned. Count the
 				// corruption and keep receiving — the agent will retry.
 				monTCPBadFrames.Inc()
+				corrupted = true
 				continue
 			}
 			if errors.Is(err, binfmt.ErrMalformed) {
@@ -235,6 +241,12 @@ func (s *TCPServer) serve(conn net.Conn) {
 			return
 		}
 		monTCPBinaryRx.Inc()
+		if msg.journaled && corrupted {
+			// Neither deliver nor ack past the gap: dropping the connection
+			// makes the sender replay from its ack watermark, which still
+			// covers the skipped record.
+			return
+		}
 		deliver := true
 		if msg.journaled && !s.opts.Dedup.Fresh(msg.origin, msg.seq) {
 			// At-least-once replay of a record we already accepted.
@@ -347,10 +359,14 @@ type SenderOptions struct {
 	// report is appended to the journal first (Send then returns nil — an
 	// unreachable server costs latency, not data), shipped inside a
 	// binfmt.Journaled envelope, and released only by the server's
-	// cumulative ack. Unsent records replay automatically on the next Send
-	// or FlushJournal after a reconnect; the server dedups on (AgentKey,
-	// seq). The caller keeps ownership of the journal (Close it separately
-	// after the sender).
+	// cumulative ack. One frame stays in flight per connection: Send
+	// returns once its own record is written and every earlier one is
+	// acked, so the server ingests a batch while the agent prepares the
+	// next. Records the live connection has not carried replay
+	// automatically on the next Send or FlushJournal after a reconnect; the
+	// server dedups on (AgentKey, seq). Call FlushJournal before Close to
+	// leave nothing pending. The caller keeps ownership of the journal
+	// (Close it separately after the sender).
 	Journal *journal.Journal
 	// AckTimeout bounds the wait for the server's cumulative ack in durable
 	// mode (default IOTimeout).
@@ -403,6 +419,14 @@ type TCPSender struct {
 	encBuf []byte
 	plBuf  []byte
 	mb     binfmt.MeasurementBatch
+
+	// Durable-mode write cursor, guarded by sendMu: the highest journal
+	// sequence written on wconn. A connection other than wconn has carried
+	// nothing yet, so the cursor restarts from zero on it. acks buffers
+	// wconn's ack stream.
+	wconn   net.Conn
+	sentSeq uint64
+	acks    *bufio.Reader
 }
 
 // fillBatch converts r into the sender's scratch wire-form batch, or
@@ -501,7 +525,9 @@ func (t *TCPSender) dropConn(c net.Conn) {
 // retry up to the budget with seeded backoff jitter; an exhausted budget is
 // counted as a dropped report and journaled as data loss. With a journal:
 // append first, then flush best-effort — Send returns nil once the report
-// is durable, whatever the server's state.
+// is durable, whatever the server's state. On a healthy connection it
+// returns once the report's frame is written and every earlier record is
+// acked; its own ack is read by the next Send or FlushJournal.
 func (t *TCPSender) Send(r Report) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
@@ -591,12 +617,12 @@ func (t *TCPSender) Send(r Report) error {
 
 // SendTelemetry ships one metric snapshot to the server's fleet sink over
 // the same connection (and journal, when configured) as reports. In
-// durable mode the snapshot is
-// appended to the journal first and replayed until acked, so telemetry
-// survives a server outage exactly like measurement data; without a journal
-// it retries on the report budget and an exhausted budget counts a
-// monitor.tcp.telemetry_dropped (telemetry loss is monitored, but it never
-// fails rows).
+// durable mode the snapshot is appended to the journal first, shipped with
+// the same one-frame-in-flight rule as Send, and replayed until acked, so
+// telemetry survives a server outage exactly like measurement data; without
+// a journal it retries on the report budget and an exhausted budget counts
+// a monitor.tcp.telemetry_dropped (telemetry loss is monitored, but it
+// never fails rows).
 func (t *TCPSender) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
@@ -614,13 +640,15 @@ func (t *TCPSender) SendTelemetry(snap *binfmt.TelemetrySnapshot) error {
 		if err != nil {
 			return fmt.Errorf("monitor: encode telemetry for journal: %w", err)
 		}
-		if _, err := t.opts.Journal.Append(payload); err != nil {
+		jseq, err := t.opts.Journal.Append(payload)
+		if err != nil {
 			return fmt.Errorf("monitor: journal append: %w", err)
 		}
 		monTCPJournaled.Inc()
 		monTCPTelTx.Inc()
-		// Best-effort delivery; the record is safe and replays until acked.
-		_ = t.flushJournal(seq, 0, obs.TraceContext{})
+		// Best-effort delivery with one frame in flight, as for reports;
+		// the record is safe and replays until acked.
+		_ = t.flushJournal(seq, jseq-1, 0, obs.TraceContext{})
 		return nil
 	}
 	var lastErr error
@@ -683,15 +711,18 @@ func (t *TCPSender) sendDurable(r *Report, seq uint64) error {
 	monTCPJournaled.Inc()
 	// Best-effort delivery. An error here means the server is unreachable;
 	// the record is safe and will replay on a later Send or FlushJournal.
-	_ = t.flushJournal(seq, jseq, r.Trace)
+	_ = t.flushJournal(seq, jseq-1, jseq, r.Trace)
 	return nil
 }
 
-// flushJournal ships every pending journal record in sequence order inside
-// Journaled envelopes, then consumes cumulative acks until the tail record
-// is covered. traceSeq names the one record (if any) that should carry the
-// live report's trace context. Callers hold sendMu.
-func (t *TCPSender) flushJournal(dialSeq, traceSeq uint64, trace obs.TraceContext) error {
+// flushJournal writes every pending journal record the current connection
+// has not carried yet, in sequence order inside Journaled envelopes, then
+// reads cumulative acks inline until the journal's watermark covers ackTo.
+// Send passes the record before its own, leaving exactly one frame in
+// flight; FlushJournal passes the newest. traceSeq names the one record (if
+// any) that should carry the live report's trace context. Callers hold
+// sendMu.
+func (t *TCPSender) flushJournal(dialSeq, ackTo, traceSeq uint64, trace obs.TraceContext) error {
 	j := t.opts.Journal
 	if j.Pending() == 0 {
 		return nil
@@ -700,9 +731,11 @@ func (t *TCPSender) flushJournal(dialSeq, traceSeq uint64, trace obs.TraceContex
 	if err != nil {
 		return err
 	}
-	var lastSent uint64
-	sent := 0
-	err = j.Replay(func(seq uint64, payload []byte, attempts int) error {
+	if conn != t.wconn {
+		// A fresh connection: replay everything above the ack watermark.
+		t.wconn, t.sentSeq, t.acks = conn, 0, bufio.NewReaderSize(conn, 512)
+	}
+	err = j.ReplayAfter(t.sentSeq, func(seq uint64, payload []byte, attempts int) error {
 		env := binfmt.Journaled{Origin: t.opts.AgentKey, Seq: seq, Inner: payload}
 		var fctx wire.TraceContext
 		if seq == traceSeq && trace.Sampled() {
@@ -724,28 +757,25 @@ func (t *TCPSender) flushJournal(dialSeq, traceSeq uint64, trace obs.TraceContex
 		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
-		sent++
-		lastSent = seq
+		t.sentSeq = seq
 		return nil
 	})
 	if err != nil {
 		t.dropConn(conn)
 		return err
 	}
-	if sent == 0 {
-		return nil
-	}
-	// One ack arrives per journaled frame, each carrying the cumulative
-	// watermark; reading until it covers the tail leaves the stream exactly
-	// drained. Any failure means re-delivery later — at-least-once, with
-	// the server's dedup window absorbing the overlap.
-	for j.AckedSeq() < lastSent {
+	// The server acks every journaled frame it reads, in order, each ack
+	// carrying its cumulative watermark; acks this wait does not need stay
+	// unread for a later one. Any failure means re-delivery on the next
+	// connection — at-least-once, with the server's dedup window absorbing
+	// the overlap.
+	for j.AckedSeq() < ackTo {
 		if err := conn.SetReadDeadline(time.Now().Add(t.opts.AckTimeout)); err != nil {
 			t.dropConn(conn)
 			return err
 		}
 		var ack binfmt.Ack
-		if _, err := wire.Decode(conn, 0, &ack); err != nil {
+		if _, err := wire.Decode(t.acks, 0, &ack); err != nil {
 			t.dropConn(conn)
 			return err
 		}
@@ -760,8 +790,9 @@ func (t *TCPSender) flushJournal(dialSeq, traceSeq uint64, trace obs.TraceContex
 }
 
 // FlushJournal delivers every pending journal record now, blocking until
-// the server has acked the tail (or an I/O error). Callers drain with it at
-// shutdown or after an outage ends; Send also flushes opportunistically.
+// the server has acked the newest (or an I/O error). Send leaves its own
+// record in flight, so callers drain with FlushJournal before Close at
+// shutdown, and after an outage ends.
 func (t *TCPSender) FlushJournal() error {
 	if t.opts.Journal == nil {
 		return nil
@@ -776,7 +807,7 @@ func (t *TCPSender) FlushJournal() error {
 	seq := t.seq
 	t.seq++
 	t.mu.Unlock()
-	return t.flushJournal(seq, 0, obs.TraceContext{})
+	return t.flushJournal(seq, t.opts.Journal.LastSeq(), 0, obs.TraceContext{})
 }
 
 // Close shuts the connection and aborts any in-flight retry promptly: the

@@ -79,5 +79,18 @@ grep -q '150 rows assembled' "$tmp/mon.log" || {
   tail -5 "$tmp/mon.log" >&2
   exit 1
 }
+# A clean run drains its journals at shutdown, so a second run over the
+# same directory has nothing to replay.
+"$tmp/kertmon" -requests 150 -alpha 60 -decentral=false \
+  -journal-dir "$tmp/journals" > "$tmp/mon2.log" 2>&1 || {
+  echo "journal-e2e: second kertmon durable run failed" >&2
+  cat "$tmp/mon2.log" >&2
+  exit 1
+}
+if grep -q 'replaying' "$tmp/mon2.log"; then
+  echo "journal-e2e: the first run left journaled reports behind:" >&2
+  grep 'replaying' "$tmp/mon2.log" >&2
+  exit 1
+fi
 echo "journal-e2e: per-host journals created, appended to, and fully drained"
 echo "journal-e2e: OK"
